@@ -193,6 +193,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        sys.stderr.write(f"verify: --workers must be at least 1, got {args.workers}\n")
+        return EXIT_USAGE
     with _open_input(args.planes) as stream:
         family = read_planes(stream)
     if args.n is not None and args.n != family.n:
@@ -347,7 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SkewcubeError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
-    except FileNotFoundError as e:
+    except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

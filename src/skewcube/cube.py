@@ -6,15 +6,17 @@ rational coefficients and an offset; "covers" means the affine form vanishes
 as a rational number, never approximately.
 
 Exhaustive enumeration over all 2^n points is capped at n <= 24 and runs
-chunk by chunk over aligned mask ranges. Chunks whose scaled integer values
-fit comfortably in int64 go through a vectorized evaluator; anything larger
-falls back to arbitrary-precision integer subset sums, so no input changes
-the exactness of the answer.
+chunk by chunk over aligned mask ranges. One vectorized evaluator builds
+each plane's subset sums over a chunk's low bits by doubling and compares
+them with a single per-chunk target. Its arrays are int64 when the scaled
+integer values fit comfortably and Python ints otherwise, so no input
+changes the exactness of the answer.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,46 +176,35 @@ def _int64_safe(planes_int) -> bool:
 def _chunk_zero_offsets(planes_int, n: int, lo: int, hi: int):
     """Per plane, offsets within the aligned chunk [lo, hi) where a.x + b = 0.
 
-    The vanishing set is unchanged by the integer scaling, so only a_int and
-    b_int matter here.
+    a.x + b = (b + sum a) - 2*s(mask), where s sums the a_j whose bit is set,
+    so the plane vanishes at lo + i iff s(i) == (b + sum a)/2 - s(lo); if that
+    target is odd it meets no point. The low-bit subset sums s(i) are built
+    by doubling, as int64 when _int64_safe allows it and as Python ints
+    (object dtype) otherwise. Only a_int and b_int matter: the vanishing set
+    is unchanged by the integer scaling.
     """
-    if _int64_safe(planes_int):
-        masks = np.arange(lo, hi, dtype=np.int64)
-        bits = [(masks >> j) & np.int64(1) for j in range(n)]
-        out = []
-        for a, b, _ in planes_int:
-            acc = np.zeros(hi - lo, dtype=np.int64)
-            for j, aj in enumerate(a):
-                if aj:
-                    acc += np.int64(aj) * bits[j]
-            # a.x + b = (b + sum a) - 2*acc
-            out.append(np.nonzero(2 * acc == b + sum(a))[0])
-        return out
-
-    # Arbitrary-precision path: subset sums of 2*a_j over the chunk's low
-    # bits, plus the fixed contribution of the high bits of lo.
     width = hi - lo
     low_bits = width.bit_length() - 1
-    sums = [0] * width
+    dtype = np.int64 if _int64_safe(planes_int) else object
     out = []
     for a, b, _ in planes_int:
         high = sum(a[j] for j in range(low_bits, n) if (lo >> j) & 1)
-        target = b + sum(a) - 2 * high
-        a2 = [2 * c for c in a[:low_bits]]
-        for m in range(1, width):
-            j = (m & -m).bit_length() - 1
-            sums[m] = sums[m & (m - 1)] + a2[j]
-        out.append([m for m in range(width) if sums[m] == target])
+        twice_target = b + sum(a) - 2 * high
+        if twice_target % 2:
+            out.append(np.empty(0, dtype=np.int64))
+            continue
+        sums = np.zeros(width, dtype=dtype)
+        for j, c in enumerate(a[:low_bits]):
+            sums[1 << j : 2 << j] = sums[: 1 << j] + c
+        out.append(np.flatnonzero(sums == twice_target // 2))
     return out
 
 
 def _verify_chunk_job(args):
     planes_int, n, lo, hi = args
-    zero_lists = _chunk_zero_offsets(planes_int, n, lo, hi)
     covered = np.zeros(hi - lo, dtype=bool)
     counts = []
-    for z in zero_lists:
-        idx = np.asarray(z, dtype=np.int64)
+    for idx in _chunk_zero_offsets(planes_int, n, lo, hi):
         counts.append(int(idx.size))
         covered[idx] = True
     unc = np.nonzero(~covered)[0]
@@ -240,15 +231,17 @@ def verify_cover(
     """Exhaustively check whether the family covers every point of the cube.
 
     The point range is split into aligned chunks; with workers > 1 the chunks
-    are verified in parallel processes. Chunk reductions are integer counts
-    and ordered samples, so the report is identical for any worker count.
+    are verified in min(workers, chunks, cpu count) parallel processes. Chunk
+    reductions are integer counts and ordered samples, so the report is
+    identical for any worker count.
     """
     n = family.n
     _check_exhaustive(n)
     planes_int = [_integerized(p) for p in family.planes]
     jobs = [(planes_int, n, lo, hi) for lo, hi in _chunk_ranges(n, chunk_bits)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_verify_chunk_job, jobs))
     else:
         parts = [_verify_chunk_job(job) for job in jobs]

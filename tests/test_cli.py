@@ -220,6 +220,21 @@ def test_poly_subset_must_be_increasing():
         cli.read_poly(io.StringIO(poly))
 
 
+def test_verify_workers_below_one_is_usage_error(capsys, monkeypatch):
+    for value in ("0", "-3"):
+        argv = ["verify", "-", "--workers", value]
+        code, out, err = run(argv, stdin='{"a": [1, 1], "b": 0}\n', capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--workers" in err
+
+
+def test_verify_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["verify", str(tmp_path)], capsys=capsys)
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("SKEWCUBE_WORKERS", "3")
     assert cli._build_parser().parse_args(["verify", "-"]).workers == 3

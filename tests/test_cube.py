@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcube import cube
 from skewcube.cube import (
     CoverFamily,
+    CoverReport,
     CubePoint,
     Hyperplane,
     covered_set,
@@ -244,3 +246,101 @@ def test_antichain_for_positive_planes(n, data):
         for q in masks:
             if p != q:
                 assert p & ~q != 0  # p is not a subset of q
+
+
+def brute_report(family):
+    """Independent oracle for verify_cover: evaluate every plane at every point."""
+    n = family.n
+    counts = [0] * len(family)
+    uncovered = []
+    for bits in range(1 << n):
+        point = CubePoint(bits, n)
+        hits = [evaluate(p, point) == 0 for p in family]
+        for i, hit in enumerate(hits):
+            counts[i] += hit
+        if not any(hits):
+            uncovered.append(point)
+    return CoverReport(
+        covered=not uncovered,
+        num_uncovered=len(uncovered),
+        uncovered_sample=tuple(uncovered[:32]),
+        per_plane_counts=tuple(counts),
+    )
+
+
+@st.composite
+def skew_families(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 4))
+    planes = []
+    for _ in range(k):
+        a = tuple(draw(nonzero_coeff) for _ in range(n))
+        planes.append(Hyperplane(a, draw(st.integers(-n, n))))
+    return CoverFamily(tuple(planes))
+
+
+def scaled(family, scales):
+    return CoverFamily(
+        tuple(Hyperplane(tuple(s * c for c in p.a), s * p.b) for p, s in zip(family, scales))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_families(), st.data())
+def test_object_branch_across_chunks_matches_bruteforce(family, data):
+    # factors of at least 2^62 push every plane past the int64 bound, and
+    # chunk_bits=2 splits n >= 3 into several chunks, so the high bits of
+    # each chunk's base mask enter the target
+    scales = [data.draw(st.integers(1 << 62, 1 << 90)) for _ in family]
+    big = scaled(family, scales)
+    assert not cube._int64_safe([cube._integerized(p) for p in big])
+    report = verify_cover(big, chunk_bits=2)
+    assert report == brute_report(big)
+    assert report == verify_cover(family, chunk_bits=2)
+
+
+def test_reports_identical_across_workers_and_chunks():
+    # five level planes of n = 7 miss the weights 0, 6 and 7, and a sixth
+    # plane meets one of those 9 points, so 8 stay uncovered
+    family = CoverFamily(
+        tuple(Hyperplane((1,) * 7, b) for b in (-5, -3, -1, 1, 3))
+        + (Hyperplane((1, 2, 3, -1, -2, -3, 1), 1),)
+    )
+    big = scaled(family, [(1 << 70) + 3] * len(family))
+    for fam in (family, big):
+        want = brute_report(fam)
+        for workers in (1, 2):
+            for chunk_bits in (1, 3, 5, 18):
+                assert verify_cover(fam, workers=workers, chunk_bits=chunk_bits) == want
+
+
+def test_pool_size_clamped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cube, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cube.os, "cpu_count", lambda: 3)
+    fam = CoverFamily((Hyperplane((1, 1, 1, 1), 0), Hyperplane((1, 1, 1, 1), 2)))
+    base = verify_cover(fam)
+    # 16 chunks, clamped by the cpu count; 2 chunks, clamped by the chunks
+    assert verify_cover(fam, workers=8, chunk_bits=0) == base
+    assert verify_cover(fam, workers=8, chunk_bits=3) == base
+    assert sizes == [3, 2]
+    # one chunk, one worker or no cpu count reported: no pool at all
+    assert verify_cover(fam, workers=8) == base
+    assert verify_cover(fam, workers=1, chunk_bits=0) == base
+    monkeypatch.setattr(cube.os, "cpu_count", lambda: None)
+    assert verify_cover(fam, workers=8, chunk_bits=0) == base
+    assert sizes == [3, 2]
