@@ -282,6 +282,14 @@ def cmd_search(args) -> int:
     return EXIT_OK if outcome.status is SearchStatus.FOUND_COVER else EXIT_NEGATIVE
 
 
+def _env_workers() -> int:
+    raw = os.environ.get("SKEWCUBE_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"SKEWCUBE_WORKERS must be an integer, got {raw!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewcube")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -297,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("SKEWCUBE_WORKERS", "1")),
+        default=_env_workers(),
         help="parallel verification processes (default SKEWCUBE_WORKERS or 1)",
     )
     p.set_defaults(func=cmd_verify)
@@ -331,12 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
-    try:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else EXIT_USAGE
         return args.func(args)
     except ParseError as e:
         sys.stderr.write(f"error: {e}\n")

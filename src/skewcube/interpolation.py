@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -44,12 +43,15 @@ from .errors import (
     OddModulus,
     SignConflict,
     SkewcubeError,
+    SystemTooLarge,
 )
 from .fourier import ValueTable
-from .linalg import elimination_block, exact_nullity, modp_rank
+from .linalg import exact_nullity, modp_rank
 from .subsets import mask_of, subsets_colex
 
 _VANISHING_N_CAP = 20
+# Largest Gram matrix vanishing_dimension builds: 8192^2 int64 cells, 512 MiB.
+_MAX_GRAM_SIDE = 8192
 
 
 @dataclass(frozen=True)
@@ -234,29 +236,42 @@ def recover_coefficient(
     return tuple(acc)
 
 
-def _evaluation_blocks(w_masks: list[int], col_masks: list[int], block: int = 2048):
-    for i in range(0, len(w_masks), block):
-        xs = np.asarray(w_masks[i : i + block], dtype=np.int64)
-        out = np.empty((xs.size, len(col_masks)), dtype=np.int64)
-        for cj, cm in enumerate(col_masks):
-            parity = np.zeros(xs.size, dtype=np.int64)
-            mm = cm
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                parity += (xs >> j) & 1
-                mm &= mm - 1
-            out[:, cj] = 1 - 2 * (parity & 1)
-        yield out
+def _krawtchouk(n: int, k: int, u: int) -> int:
+    """Sum of (-1)^|x & U| over the masks x of weight k, for any U of weight u."""
+    return sum((-1) ** j * math.comb(u, j) * math.comb(n - u, k - j) for j in range(k + 1))
+
+
+def _gram(n: int, index_levels: range, summed_levels: range) -> np.ndarray:
+    """Gram matrix of the +-1 character table between two families of subsets.
+
+    Rows and columns are the subsets of {1..n} whose sizes lie in
+    ``index_levels`` (sizes ascending, colex within each size); the entry at
+    (a, b) is the sum over subsets x with |x| in ``summed_levels`` of
+    (-1)^(|x & a| + |x & b|) = (-1)^|x & (a ^ b)|, which depends only on
+    |a ^ b|: it is the sum of the Krawtchouk values K_l(|a ^ b|).
+    """
+    masks = np.array(
+        [mask_of(s) for k in index_levels for s in subsets_colex(n, k)], dtype=np.uint32
+    )
+    by_distance = np.array(
+        [sum(_krawtchouk(n, l, u) for l in summed_levels) for u in range(n + 1)],
+        dtype=np.int64,
+    )
+    return by_distance[np.bitwise_count(masks[:, None] ^ masks[None, :])]
 
 
 def vanishing_dimension(n: int, m: int, d: int) -> int:
     """Dimension of the degree <= d multilinear maps vanishing on all of W(m).
 
-    Computed as the exact nullity over Q of the evaluation matrix, rows
-    indexed by the points of W(m) and columns by the subsets of size <= d
-    (sizes ascending, colex within each size). A mod-p pass that pivots every
-    column or every row settles the rank exactly; anything else is recomputed
-    with fraction-free integer elimination.
+    This is the nullity over Q of the +-1 evaluation matrix E, rows indexed
+    by the points of W(m) and columns by the subsets of size <= d. Over Q,
+    E^T E (indexed by the subsets) and E E^T (indexed by the points) both
+    have the rank of E, and their entries depend only on the popcount of
+    a xor b, so the smaller of the two is built directly from Krawtchouk
+    sums and E itself never is. A mod-p pass that pivots every column of
+    that square matrix proves full rank over Q, the same certificate as on
+    E; anything less is recomputed on the same matrix with fraction-free
+    integer elimination.
     """
     if m < 2 or m % 2:
         raise BadModulus(f"modulus must be even and >= 2, got {m}")
@@ -264,20 +279,17 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
         raise DimensionTooLarge(f"n={n} exceeds the vanishing-dimension cap {_VANISHING_N_CAP}")
     if not 0 <= d <= n:
         raise DegreeOutOfRange(f"need 0 <= d <= n, got d={d}")
-    col_masks = [
-        mask_of(s) for size in range(d + 1) for s in subsets_colex(n, size)
-    ]
-    w_masks = [x for x in range(1 << n) if x.bit_count() % m == 0]
-    ncols = len(col_masks)
-    # Row order cannot change the rank, but mask-ascending rows are weight
-    # biased and keep early blocks degenerate; a fixed shuffle fixes that.
-    block = elimination_block(ncols)
-    if len(w_masks) > block:
-        random.Random("vanishing-rows").shuffle(w_masks)
-    rank, certified = modp_rank(_evaluation_blocks(w_masks, col_masks, block), ncols)
-    if certified:
-        return ncols - rank
-    rows = (
-        [1 - 2 * ((cm & x).bit_count() & 1) for cm in col_masks] for x in w_masks
-    )
-    return exact_nullity(rows, ncols)
+    col_levels = range(d + 1)
+    row_levels = range(0, n + 1, m)
+    ncols = sum(math.comb(n, k) for k in col_levels)
+    nrows = sum(math.comb(n, w) for w in row_levels)
+    if ncols <= nrows:
+        side, levels = ncols, (col_levels, row_levels)
+    else:
+        side, levels = nrows, (row_levels, col_levels)
+    if side > _MAX_GRAM_SIDE:
+        raise SystemTooLarge(f"Gram side {side} exceeds the cap {_MAX_GRAM_SIDE}")
+    rank, certified = modp_rank([_gram(n, *levels)], side)
+    if not certified:
+        rank = side - exact_nullity(_gram(n, *levels).tolist(), side)
+    return ncols - rank

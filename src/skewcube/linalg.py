@@ -6,6 +6,10 @@ over Z, and min(rows, cols) bounds the rank from above. Those answers are
 proofs, not probabilistic claims. Whenever the mod-p pass certifies nothing,
 callers recompute with fraction-free integer elimination, which is exact for
 any input.
+
+The only caller of the mod-p pass is ``interpolation.vanishing_dimension``,
+which hands it a square Gram matrix; the kernel system's nullity has a
+closed form and needs no elimination at all.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def modp_rank(blocks: Iterable[np.ndarray], ncols: int, p: int = PRIME) -> tuple
     for block in blocks:
         b = np.asarray(block, dtype=np.int64) % p
         nrows += b.shape[0]
-        echelon = _echelon_modp(np.vstack([echelon, b]), p)
+        echelon = _echelon_modp(np.vstack([echelon, b]) if echelon.shape[0] else b, p)
         if echelon.shape[0] == ncols:
             return ncols, True
     rank = echelon.shape[0]
@@ -122,9 +126,3 @@ def block_rows(rows: Sequence[Sequence[int]], block: int = 2048) -> Iterator[np.
     """Batch dense integer rows into int64 blocks for the mod-p pass."""
     for i in range(0, len(rows), block):
         yield np.asarray(rows[i : i + block], dtype=np.int64)
-
-
-def elimination_block(ncols: int) -> int:
-    """Row-block size for streaming elimination: one block should usually
-    certify full column rank outright, within a ~128 MB working-set cap."""
-    return max(1024, min(ncols + 512, (1 << 24) // max(ncols, 1)))

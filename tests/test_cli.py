@@ -240,3 +240,40 @@ def test_workers_env_default(monkeypatch):
     assert cli._build_parser().parse_args(["verify", "-"]).workers == 3
     monkeypatch.delenv("SKEWCUBE_WORKERS")
     assert cli._build_parser().parse_args(["verify", "-"]).workers == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kernel", "3", "5", "1", "1", "1"], ["kernel", "3", "--", "-1", "1", "1", "1"]],
+)
+def test_kernel_degree_out_of_range_exit_4(argv, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_kernel_coefficient_beyond_int64(capsys):
+    code, out, _ = run(["kernel", "3", "1", "100000000000000000000", "1", "1"], capsys=capsys)
+    assert code == 0
+    got = json.loads(out)
+    assert got["nullity"] == 0
+    assert got["a"][0] == 100000000000000000000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "levels", "3"],
+        ["verify", "-"],
+        ["interp", "-", "--m", "2", "-S", "1"],
+        ["kernel", "3", "1", "1", "1", "1"],
+        ["search", "--n", "3"],
+    ],
+)
+def test_non_integer_workers_env_is_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.setenv("SKEWCUBE_WORKERS", "abc")
+    code, out, err = run(argv, stdin="", capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "SKEWCUBE_WORKERS" in err

@@ -239,3 +239,47 @@ def test_recover_property_random(d, half_m, data):
     scheme = build_scheme(n, m, d, S)
     got = recover_coefficient(scheme, lambda p: poly.value_at(p.bits))
     assert got == poly.coeffs.get(mask_of(S), (Fraction(0),))
+
+
+def test_vanishing_dimension_matches_evaluation_matrix_grid(monkeypatch):
+    # brute force on E itself, over tall, square and wide shapes, including
+    # rank-deficient ones where the mod-p pass certifies nothing
+    from skewcube import interpolation
+    from skewcube.linalg import exact_nullity
+
+    fallbacks = []
+    real = interpolation.exact_nullity
+    monkeypatch.setattr(
+        interpolation, "exact_nullity", lambda rows, ncols: fallbacks.append(ncols) or real(rows, ncols)
+    )
+    shapes = set()
+    deficient = 0
+    for n in range(1, 8):
+        for m in (2, 4, 6):
+            points = [x for x in range(1 << n) if x.bit_count() % m == 0]
+            for d in range(n + 1):
+                cols = [
+                    mask_of(s)
+                    for size in range(d + 1)
+                    for s in itertools.combinations(range(1, n + 1), size)
+                ]
+                rows = [[1 - 2 * ((c & x).bit_count() & 1) for c in cols] for x in points]
+                want = exact_nullity(rows, len(cols))
+                assert vanishing_dimension(n, m, d) == want, (n, m, d)
+                shapes.add((len(rows) > len(cols)) - (len(rows) < len(cols)))
+                deficient += len(cols) - want < min(len(rows), len(cols))
+    assert shapes == {-1, 0, 1}
+    assert deficient > 0 and len(fallbacks) == deficient
+
+
+def test_vanishing_dimension_refuses_large_gram(monkeypatch):
+    from skewcube import interpolation
+    from skewcube.errors import SystemTooLarge
+
+    def no_build(*args):
+        raise AssertionError("Gram matrix built before the size check")
+
+    monkeypatch.setattr(interpolation, "_gram", no_build)
+    # C(16, <=7) = 26,333 subsets against 2^15 points: a 5.5 GB Gram side
+    with pytest.raises(SystemTooLarge):
+        vanishing_dimension(16, 2, 7)

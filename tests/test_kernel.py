@@ -150,3 +150,26 @@ def test_apply_product_vector_identity(d, data):
         for j in T:
             prod *= Fraction(a[j - 1])
         assert got == (d + 1) * K * prod
+
+
+small_rationals = st.builds(Fraction, nonzero, st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_dim_matches_exact_elimination_random(data):
+    # one coefficient at or above 2^63 in every case: int64 cannot hold it
+    n = data.draw(st.integers(1, 7))
+    d = data.draw(st.integers(0, n - 1))
+    a = data.draw(st.lists(small_rationals, min_size=n, max_size=n))
+    a[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(2**63, 2**90))
+    sys = build_system(a, d)
+    assert kernel_dim(sys) == exact_nullity(sys.dense(), sys.num_cols)
+
+
+@pytest.mark.parametrize("d", [-1, 3, 5])
+def test_build_system_degree_out_of_range(d):
+    from skewcube.errors import DegreeOutOfRange
+
+    with pytest.raises(DegreeOutOfRange):
+        build_system((1, 2, 3), d)
