@@ -139,10 +139,14 @@ def read_poly(stream: TextIO) -> MultilinearPoly:
     n, k = obj["n"], obj["k"]
     if type(n) is not int or type(k) is not int or n < 1 or k < 1:
         raise ParseError('"n" and "k" must be positive integers')
+    if not isinstance(obj["coeffs"], list):
+        raise ParseError('"coeffs" must be a list')
     coeffs: dict[int, tuple[Fraction, ...]] = {}
     for entry in obj["coeffs"]:
         if not isinstance(entry, dict) or "S" not in entry or "c" not in entry:
             raise ParseError('each coefficient needs keys "S" and "c"')
+        if not isinstance(entry["c"], list):
+            raise ParseError('"c" must be a list')
         S = entry["S"]
         if not isinstance(S, list) or any(type(i) is not int for i in S):
             raise ParseError('"S" must be a list of integers')
@@ -256,6 +260,15 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_search(args) -> int:
+    for flag, value, least in (
+        ("--n", args.n, 1),
+        ("--coeff-bound", args.coeff_bound, 1),
+        ("--offset-bound", args.offset_bound, 0),
+        ("--max-k", args.max_k, 0),
+    ):
+        if value is not None and value < least:
+            sys.stderr.write(f"search: {flag} must be at least {least}, got {value}\n")
+            return EXIT_USAGE
     config = SearchConfig(
         n=args.n,
         coeff_bound=args.coeff_bound,

@@ -20,7 +20,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -130,11 +129,14 @@ class CoverReport:
     per_plane_counts: tuple[int, ...]
 
 
-@lru_cache(maxsize=65536)
 def _integerized(plane: Hyperplane) -> tuple[tuple[int, ...], int, int]:
     """Scale a plane to integer coefficients; returns (a_int, b_int, denominator)."""
     den = math.lcm(plane.b.denominator, *(c.denominator for c in plane.a))
-    return tuple(int(c * den) for c in plane.a), int(plane.b * den), den
+    return (
+        tuple(c.numerator * (den // c.denominator) for c in plane.a),
+        plane.b.numerator * (den // plane.b.denominator),
+        den,
+    )
 
 
 def evaluate(plane: Hyperplane, point: CubePoint) -> Fraction:

@@ -6,7 +6,12 @@ and actually do somewhere, and orders them canonically. The cover search is
 depth-first branch and bound with iterative deepening on the family size,
 starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
 that is vacuous by the bound, and the search reports it as exhausted without
-exploring. Negative outcomes are always claims relative to the configured
+exploring. Inside the tree two rules prune a node whose remaining budget
+cannot finish the cover: a counting rule (the budget times the largest
+single-plane coverage is below the number of uncovered points) and a packing
+rule (more than budget uncovered points, no two of which lie on a common pool
+plane). The packing rule is sound because each of those points needs a plane
+of its own. Negative outcomes are always claims relative to the configured
 bounds, never unconditional nonexistence statements.
 """
 
@@ -21,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import CoverFamily, Hyperplane, covered_set, verify_cover
+from . import cube
+from .cube import CoverFamily, Hyperplane, verify_cover
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -137,13 +143,19 @@ def _filter_covering(raw, n):
 
 
 def _covered_bitsets(pool: list[Hyperplane], n: int) -> list[int]:
-    out = []
-    for plane in pool:
-        bits = 0
-        for pt in covered_set(plane):
-            bits |= 1 << pt.bits
-        out.append(bits)
-    return out
+    """Per plane, the int whose bit m is set iff the plane covers mask m.
+
+    One ``_chunk_zero_offsets`` pass per chunk over the whole pool fills a
+    (planes, 2^n) bool table, which is packed little-endian into the ints.
+    """
+    cube._check_exhaustive(n)
+    planes_int = [cube._integerized(p) for p in pool]
+    hit = np.zeros((len(pool), 1 << n), dtype=bool)
+    for lo, hi in cube._chunk_ranges(n, cube._CHUNK_BITS):
+        for row, idx in zip(hit, cube._chunk_zero_offsets(planes_int, n, lo, hi)):
+            row[lo + idx] = True
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _canonical_root(plane: Hyperplane) -> bool:
@@ -159,12 +171,22 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     At each node the lowest-mask uncovered point is selected and the branch
     runs over the pool planes covering it, ordered by descending fresh
-    coverage with pool order breaking ties. A node is pruned when the
-    remaining budget times the best single-plane coverage cannot reach the
-    uncovered count. At the root, when enabled, branching is restricted to
-    orbit representatives under coordinate permutations and sign flips, which
-    is sound because the pool is closed under those symmetries. Runs without
-    a time budget are fully deterministic, including node counts.
+    coverage with pool order breaking ties. A node is pruned by either of two
+    lower bounds on the planes still needed:
+
+    - counting: the remaining budget times the best single-plane coverage
+      cannot reach the uncovered count;
+    - packing: walking the uncovered points in mask order and taking each
+      one that shares no pool plane with a point already taken yields more
+      than budget points. Every taken point needs a plane of its own, so no
+      cover within the budget exists below the node.
+
+    Both rules remove only subtrees without a cover within the budget, so
+    they change node counts but never which cover is found first. At the
+    root, when enabled, branching is restricted to orbit representatives
+    under coordinate permutations and sign flips, which is sound because the
+    pool is closed under those symmetries. Runs without a time budget are
+    fully deterministic, including node counts.
     """
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
@@ -188,6 +210,11 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
             v = (m & -m).bit_length() - 1
             covering[v].append(i)
             m &= m - 1
+    # nbr[v]: v and every point sharing a pool plane with it.
+    nbr = [1 << v for v in range(width)]
+    for v, planes in enumerate(covering):
+        for i in planes:
+            nbr[v] |= cov[i]
     roots = (
         [i for i, p in enumerate(pool) if _canonical_root(p)]
         if config.canonical_first_plane
@@ -207,10 +234,15 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         uncovered = full & ~covered
         if not uncovered:
             return chosen
-        if budget == 0:
-            return None
         if uncovered.bit_count() > budget * max_cov:
             return None
+        rest = uncovered
+        packed = 0
+        while rest:
+            packed += 1
+            if packed > budget:
+                return None
+            rest &= ~nbr[(rest & -rest).bit_length() - 1]
         if not chosen and roots is not None:
             cands = roots
         else:

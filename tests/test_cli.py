@@ -277,3 +277,34 @@ def test_non_integer_workers_env_is_usage_error(argv, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "SKEWCUBE_WORKERS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", "--n", "0"], "--n"),
+        (["search", "--n", "3", "--max-k", "-1"], "--max-k"),
+        (["search", "--n", "3", "-B", "0"], "--coeff-bound"),
+        (["search", "--n", "3", "--offset-bound", "-1"], "--offset-bound"),
+    ],
+)
+def test_search_out_of_range_argument_is_usage_error(argv, flag, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "poly, key",
+    [
+        ({"n": 3, "k": 1, "coeffs": 5}, '"coeffs"'),
+        ({"n": 3, "k": 1, "coeffs": [{"S": [1], "c": 5}]}, '"c"'),
+    ],
+)
+def test_interp_non_list_coefficients_are_parse_errors(poly, key, capsys, monkeypatch):
+    argv = ["interp", "-", "--m", "2", "-S", "1"]
+    code, out, err = run(argv, stdin=json.dumps(poly), capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and key in err

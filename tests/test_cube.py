@@ -344,3 +344,22 @@ def test_pool_size_clamped(monkeypatch):
     monkeypatch.setattr(cube.os, "cpu_count", lambda: None)
     assert verify_cover(fam, workers=8, chunk_bits=0) == base
     assert sizes == [3, 2]
+
+
+big_rational = st.builds(
+    Fraction,
+    st.integers(1 << 63, 1 << 90) | st.integers(-(1 << 90), -(1 << 63)),
+    st.integers(1, 1 << 40),
+).filter(lambda q: abs(q.numerator) >= 1 << 63)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(big_rational | st.fractions(max_denominator=50), min_size=2, max_size=7))
+def test_integerized_matches_fraction_arithmetic(values):
+    plane = Hyperplane(tuple(values[1:]), values[0])
+    den = math.lcm(*(v.denominator for v in values))
+    a_int, b_int, got_den = cube._integerized(plane)
+    assert got_den == den
+    assert a_int == tuple(int(c * den) for c in plane.a)
+    assert b_int == int(plane.b * den)
+    assert all(type(v) is int for v in (*a_int, b_int))

@@ -1,14 +1,19 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skewcube import cube
 from skewcube.constructions import level_set_cover, power_of_two_cover
-from skewcube.cube import Hyperplane, is_skew, verify_cover
+from skewcube.cube import Hyperplane, covered_set, is_skew, verify_cover
 from skewcube.errors import PoolInsufficient, PoolTooLarge
 from skewcube.search import (
     SearchConfig,
     SearchStatus,
+    _covered_bitsets,
     candidate_pool,
     greedy_cover,
     lower_bound,
@@ -150,3 +155,97 @@ def test_greedy_never_beats_lower_bound():
 def test_greedy_insufficient_pool():
     with pytest.raises(PoolInsufficient):
         greedy_cover(2, [Hyperplane((1, 1), 0)])
+
+
+def brute_min_cover_size(cov, n, max_k):
+    """Smallest k <= max_k such that some k pool planes cover the cube, else None.
+
+    Independent of the search: walks the set of all unions of j covered
+    sets, j = 1, 2, ..., with no pruning, ordering or symmetry.
+    """
+    full = (1 << (1 << n)) - 1
+    cov = np.asarray(cov, dtype=np.int64)
+    reach = np.zeros(1, dtype=np.int64)
+    for k in range(1, max_k + 1):
+        reach = np.unique(reach[:, None] | cov[None, :])
+        if (reach == full).any():
+            return k
+    return None
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize(
+    "n, coeff_bound",
+    [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)],
+)
+def test_search_matches_brute_force(n, coeff_bound, canonical):
+    max_k = n + 1
+    for offset in range(n + 1):
+        pool = candidate_pool(n, coeff_bound, offset)
+        want = brute_min_cover_size(_covered_bitsets(pool, n), n, max_k)
+        out = min_cover_search(
+            SearchConfig(
+                n=n,
+                coeff_bound=coeff_bound,
+                offset_bound=offset,
+                max_k=max_k,
+                canonical_first_plane=canonical,
+            )
+        )
+        if want is None:
+            assert out.status is SearchStatus.EXHAUSTED_NO_COVER, (n, coeff_bound, offset)
+        else:
+            assert out.status is SearchStatus.FOUND_COVER, (n, coeff_bound, offset)
+            assert len(out.family) == want, (n, coeff_bound, offset)
+
+
+def bitsets_from_covered_set(pool):
+    out = []
+    for plane in pool:
+        bits = 0
+        for pt in covered_set(plane):
+            bits |= 1 << pt.bits
+        out.append(bits)
+    return out
+
+
+small_rational = st.builds(
+    Fraction, st.integers(-6, 6).filter(lambda v: v != 0), st.integers(1, 4)
+)
+
+
+@st.composite
+def rational_pools(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    pool = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = tuple(draw(small_rational) for _ in range(n))
+        pool.append(Hyperplane(a, draw(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))))
+    return n, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pools(), st.integers(1 << 63, 1 << 90))
+def test_covered_bitsets_match_covered_set(n_pool, scale):
+    n, pool = n_pool
+    assert _covered_bitsets(pool, n) == bitsets_from_covered_set(pool)
+    # scaling every plane by >= 2^63 keeps its zero set and takes the
+    # object-dtype branch of the evaluator
+    big = [Hyperplane(tuple(scale * c for c in p.a), scale * p.b) for p in pool]
+    assert not pool or not cube._int64_safe([cube._integerized(p) for p in big])
+    assert _covered_bitsets(big, n) == bitsets_from_covered_set(pool)
+
+
+def test_covered_bitsets_across_chunks():
+    # n = 19 spans two chunks of 2^18 points
+    n = 19
+    pool = [
+        Hyperplane((1,) * n, 1),
+        Hyperplane(tuple(Fraction(j + 1, 3) for j in range(n)), Fraction(2, 3)),
+    ]
+    big = [Hyperplane(tuple((1 << 63) * c for c in p.a), (1 << 63) * p.b) for p in pool]
+    want = bitsets_from_covered_set(pool)
+    low = (1 << (1 << 18)) - 1
+    assert all(w & low and w & ~low for w in want)  # both chunks contribute
+    assert _covered_bitsets(pool, n) == want
+    assert _covered_bitsets(big, n) == want
