@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (covered, match, certificate holds), 1 semantic
 negative (uncovered, mismatch, no cover found), 2 usage or parse failure,
-3 validation failure, 4 precondition violation.
+3 validation failure, 4 precondition violation. Codes 2 to 4 come from the
+``exit_code`` of the raised ``SkewcubeError`` (see ``errors``), and ``main``
+prints every such error as one ``error: ...`` line on stderr; argparse's own
+usage errors and unreadable files also exit 2.
 
 Plane files are JSON lines, one object per plane: {"a": [...], "b": ...}.
 Polynomial files are a single JSON object {"n", "k", "coeffs"} with 1-based,
@@ -27,22 +30,8 @@ from .constructions import (
     power_of_two_cover,
 )
 from .cube import CoverFamily, CoverReport, Hyperplane, verify_cover
-from .errors import (
-    BadModulus,
-    BadSubsetSize,
-    DegreeOutOfRange,
-    DegreeTooHigh,
-    DimensionMismatch,
-    DimensionTooLarge,
-    EmptyFamily,
-    MTooLarge,
-    OddDimension,
-    OddModulus,
-    ParseError,
-    SkewcubeError,
-    ZeroCoefficient,
-)
-from .fourier import MultilinearPoly, degree, inverse_wht, wht
+from .errors import DegreeTooHigh, DimensionMismatch, ParseError, SkewcubeError, UsageError
+from .fourier import MultilinearPoly, check_transform_size, degree, inverse_wht
 from .interpolation import build_scheme, recover_coefficient
 from .kernel import build_system, kernel_dim
 from .search import SearchConfig, SearchStatus, min_cover_search
@@ -51,17 +40,6 @@ from .subsets import mask_of
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_PRECONDITION = 4
-
-_VALIDATION_ERRORS = (DimensionMismatch, DimensionTooLarge, EmptyFamily, ZeroCoefficient)
-_PRECONDITION_ERRORS = (
-    OddModulus,
-    DegreeTooHigh,
-    BadSubsetSize,
-    BadModulus,
-    DegreeOutOfRange,
-)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -70,7 +48,10 @@ def _parse_rational(value, line: int | None = None) -> Fraction:
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # more digits than int() converts
+            pass
     raise ParseError(f"not an exact rational: {value!r}", line)
 
 
@@ -86,18 +67,32 @@ def _open_input(path: str) -> TextIO:
     return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
 
 
+def _read_text(stream: TextIO) -> str:
+    # A text stream decodes in blocks, so the failing line is not known here.
+    try:
+        return stream.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8 ({e.reason})") from None
+
+
+def _load_json(text: str, line: int | None = None):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON ({e.msg})", line) from None
+    except (RecursionError, ValueError) as e:  # nested too deeply, too many digits
+        raise ParseError(f"invalid JSON ({e})", line) from None
+
+
 def read_planes(stream: TextIO) -> CoverFamily:
     """Parse a JSON-lines plane file; errors name the offending line."""
     planes = []
     n = None
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(_read_text(stream).split("\n"), start=1):
         text = raw.strip()
         if not text:
             continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON ({e.msg})", lineno) from None
+        obj = _load_json(text, lineno)
         if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
             raise ParseError('expected an object with keys "a" and "b"', lineno)
         if not isinstance(obj["a"], list) or not obj["a"]:
@@ -126,11 +121,7 @@ def write_planes(family: CoverFamily, stream: TextIO) -> None:
 
 
 def read_poly(stream: TextIO) -> MultilinearPoly:
-    text = stream.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON ({e.msg})") from None
+    obj = _load_json(_read_text(stream))
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     for key in ("n", "k", "coeffs"):
@@ -176,30 +167,23 @@ def _report_json(report: CoverReport, n: int, num_planes: int) -> dict:
 
 
 def cmd_construct(args) -> int:
-    needs_param = args.kind != "example-n6"
-    if needs_param and args.param is None:
-        sys.stderr.write(f"construct {args.kind} needs an integer parameter\n")
-        return EXIT_USAGE
-    try:
-        if args.kind == "pow2":
-            family = power_of_two_cover(args.param)
-        elif args.kind == "levels":
-            family = level_set_cover(args.param)
-        elif args.kind == "balanced":
-            family = balanced_even_cover(args.param)
-        else:
-            family = example_n6()
-    except (OddDimension, MTooLarge, DimensionTooLarge, ValueError) as e:
-        sys.stderr.write(f"construct: {e}\n")
-        return EXIT_USAGE
+    if args.kind != "example-n6" and args.param is None:
+        raise UsageError(f"construct {args.kind} needs an integer parameter")
+    if args.kind == "pow2":
+        family = power_of_two_cover(args.param)
+    elif args.kind == "levels":
+        family = level_set_cover(args.param)
+    elif args.kind == "balanced":
+        family = balanced_even_cover(args.param)
+    else:
+        family = example_n6()
     write_planes(family, sys.stdout)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.workers < 1:
-        sys.stderr.write(f"verify: --workers must be at least 1, got {args.workers}\n")
-        return EXIT_USAGE
+        raise UsageError(f"verify: --workers must be at least 1, got {args.workers}")
     with _open_input(args.planes) as stream:
         family = read_planes(stream)
     if args.n is not None and args.n != family.n:
@@ -215,17 +199,17 @@ def cmd_interp(args) -> int:
     try:
         subset = sorted({int(tok) for tok in args.subset.split(",") if tok.strip()})
     except ValueError:
-        sys.stderr.write(f"interp: cannot parse subset {args.subset!r}\n")
-        return EXIT_USAGE
+        raise UsageError(f"interp: cannot parse subset {args.subset!r}") from None
     d = len(subset)
     deg = degree(poly)
     if deg > d:
         raise DegreeTooHigh(f"deg(f) = {deg} exceeds |S| = {d}")
+    # The table's size cap comes first: build_scheme's layout is n entries long.
+    check_transform_size(poly.n, poly.k)
     # build_scheme enforces the even modulus and n >= d*m + m/2, exit 4
     scheme = build_scheme(poly.n, args.m, d, subset)
-    table = inverse_wht(poly)
-    recovered = recover_coefficient(scheme, table)
-    direct = wht(table).coeffs.get(mask_of(subset), tuple([Fraction(0)] * poly.k))
+    recovered = recover_coefficient(scheme, inverse_wht(poly))
+    direct = poly.coeffs.get(mask_of(subset), (Fraction(0),) * poly.k)
     match = recovered == direct
     _emit(
         {
@@ -239,8 +223,7 @@ def cmd_interp(args) -> int:
 
 def cmd_kernel(args) -> int:
     if len(args.a) != args.n:
-        sys.stderr.write(f"kernel: expected {args.n} coefficients, got {len(args.a)}\n")
-        return EXIT_USAGE
+        raise UsageError(f"kernel: expected {args.n} coefficients, got {len(args.a)}")
     coeffs = [_parse_rational(tok) for tok in args.a]
     system = build_system(coeffs, args.d)
     nullity = kernel_dim(system)
@@ -267,8 +250,7 @@ def cmd_search(args) -> int:
         ("--max-k", args.max_k, 0),
     ):
         if value is not None and value < least:
-            sys.stderr.write(f"search: {flag} must be at least {least}, got {value}\n")
-            return EXIT_USAGE
+            raise UsageError(f"search: {flag} must be at least {least}, got {value}")
     config = SearchConfig(
         n=args.n,
         coeff_bound=args.coeff_bound,
@@ -359,18 +341,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else EXIT_USAGE
         return args.func(args)
-    except ParseError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
-    except _PRECONDITION_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PRECONDITION
-    except _VALIDATION_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_VALIDATION
     except SkewcubeError as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_VALIDATION
+        return e.exit_code
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -19,7 +19,7 @@ Four families, all with every coefficient nonzero:
 from __future__ import annotations
 
 from .cube import MAX_EXHAUSTIVE_N, CoverFamily, Hyperplane
-from .errors import DimensionTooLarge, MTooLarge, OddDimension
+from .errors import DimensionTooLarge, MTooLarge, OddDimension, UsageError
 
 
 def power_of_two_cover(m: int) -> CoverFamily:
@@ -29,10 +29,10 @@ def power_of_two_cover(m: int) -> CoverFamily:
     means a minus sign on the 2^j coefficient.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = (1 << m) + m - 1
-    if n > MAX_EXHAUSTIVE_N:
-        raise MTooLarge(f"m={m} gives n={n} > {MAX_EXHAUSTIVE_N}")
+        raise UsageError(f"m must be >= 1, got {m}")
+    # m is tested first so that a huge m never builds 1 << m.
+    if m > MAX_EXHAUSTIVE_N or (1 << m) + m - 1 > MAX_EXHAUSTIVE_N:
+        raise MTooLarge(f"m={m} gives n = 2^m + m - 1 > {MAX_EXHAUSTIVE_N}")
     unit = (1,) * ((1 << m) - 1)
     planes = []
     for pattern in range(1 << m):
@@ -50,7 +50,7 @@ def level_set_cover(n: int) -> CoverFamily:
     so they are still skew.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise UsageError(f"n must be >= 1, got {n}")
     if n > MAX_EXHAUSTIVE_N:
         raise DimensionTooLarge(f"n={n} > {MAX_EXHAUSTIVE_N}")
     ones = (1,) * n

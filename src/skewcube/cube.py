@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, EmptyFamily
+from .errors import DimensionMismatch, DimensionTooLarge, EmptyFamily, UsageError
 
 MAX_EXHAUSTIVE_N = 24
 
@@ -51,9 +51,9 @@ class CubePoint:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be positive")
+            raise UsageError("dimension must be positive")
         if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"mask 0x{self.bits:x} out of range for n={self.n}")
+            raise UsageError(f"mask 0x{self.bits:x} out of range for n={self.n}")
 
     @property
     def weight(self) -> int:
@@ -70,7 +70,7 @@ class CubePoint:
             if c == -1:
                 bits |= 1 << j
             elif c != 1:
-                raise ValueError("coordinates must be +1 or -1")
+                raise UsageError("coordinates must be +1 or -1")
         return cls(bits, len(coords))
 
 
@@ -85,7 +85,7 @@ class Hyperplane:
         object.__setattr__(self, "a", tuple(exact(v) for v in self.a))
         object.__setattr__(self, "b", exact(self.b))
         if not self.a:
-            raise ValueError("a hyperplane needs at least one coefficient")
+            raise UsageError("a hyperplane needs at least one coefficient")
 
     @property
     def n(self) -> int:

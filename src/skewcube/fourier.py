@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cube import MAX_EXHAUSTIVE_N, CubePoint, exact
-from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge
+from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from .subsets import mask_of
 
 
@@ -33,16 +33,16 @@ class MultilinearPoly:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be positive")
+            raise UsageError("dimension must be positive")
         if self.k < 1:
-            raise ValueError("codomain dimension must be positive")
+            raise UsageError("codomain dimension must be positive")
         clean: dict[int, tuple[Fraction, ...]] = {}
         for mask, vec in self.coeffs.items():
-            if not 0 <= mask < (1 << self.n):
-                raise ValueError(f"subset mask 0x{mask:x} out of range for n={self.n}")
+            if mask < 0 or mask >> self.n:
+                raise UsageError(f"subset mask 0x{mask:x} out of range for n={self.n}")
             v = tuple(exact(x) for x in vec)
             if len(v) != self.k:
-                raise ValueError(f"coefficient vector has length {len(v)}, expected {self.k}")
+                raise UsageError(f"coefficient vector has length {len(v)}, expected {self.k}")
             if any(v):
                 clean[mask] = v
         object.__setattr__(self, "coeffs", clean)
@@ -70,20 +70,21 @@ class ValueTable:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be positive")
+            raise UsageError("dimension must be positive")
         if self.k < 1:
-            raise ValueError("codomain dimension must be positive")
+            raise UsageError("codomain dimension must be positive")
         vals = tuple(tuple(exact(x) for x in row) for row in self.values)
         if len(vals) != (1 << self.n):
-            raise ValueError(f"expected {1 << self.n} values, got {len(vals)}")
+            raise UsageError(f"expected {1 << self.n} values, got {len(vals)}")
         if any(len(row) != self.k for row in vals):
-            raise ValueError("value rows must all have length k")
+            raise UsageError("value rows must all have length k")
         object.__setattr__(self, "values", vals)
 
 
-def _check_transform_n(n: int) -> None:
-    if n > MAX_EXHAUSTIVE_N:
-        raise DimensionTooLarge(f"n={n} exceeds the dense-transform cap {MAX_EXHAUSTIVE_N}")
+def check_transform_size(n: int, k: int) -> None:
+    """Refuse a dense table of k * 2^n values above 2^MAX_EXHAUSTIVE_N before it is built."""
+    if n > MAX_EXHAUSTIVE_N or k << n > 1 << MAX_EXHAUSTIVE_N:
+        raise DimensionTooLarge(f"k * 2^n = {k} * 2^{n} exceeds the dense cap 2^{MAX_EXHAUSTIVE_N}")
 
 
 def _butterfly(vals: list[tuple[Fraction, ...]], n: int) -> None:
@@ -99,7 +100,7 @@ def _butterfly(vals: list[tuple[Fraction, ...]], n: int) -> None:
 
 def wht(table: ValueTable) -> MultilinearPoly:
     """Coefficients from values: hat(S) = 2^-n * sum_x f(x) * (-1)^|S & x|."""
-    _check_transform_n(table.n)
+    check_transform_size(table.n, table.k)
     vals = list(table.values)
     _butterfly(vals, table.n)
     scale = 1 << table.n
@@ -111,7 +112,7 @@ def wht(table: ValueTable) -> MultilinearPoly:
 
 def inverse_wht(poly: MultilinearPoly) -> ValueTable:
     """Values from coefficients: f(x) = sum_S hat(S) * (-1)^|S & x|."""
-    _check_transform_n(poly.n)
+    check_transform_size(poly.n, poly.k)
     zero = tuple([Fraction(0)] * poly.k)
     vals: list[tuple[Fraction, ...]] = [zero] * (1 << poly.n)
     for mask, vec in poly.coeffs.items():
@@ -143,7 +144,7 @@ def random_poly(n: int, d: int, k: int, seed) -> MultilinearPoly:
     if not 0 <= d <= n:
         raise DegreeOutOfRange(f"need 0 <= d <= n, got d={d}, n={n}")
     if k < 1:
-        raise ValueError("codomain dimension must be positive")
+        raise UsageError("codomain dimension must be positive")
     rng = random.Random(f"skewcube-poly/{n}/{d}/{k}/{seed}")
 
     def vector() -> tuple[Fraction, ...]:

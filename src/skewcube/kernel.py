@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cube import exact
-from .errors import DegreeOutOfRange, SystemTooLarge, ZeroCoefficient
+from .errors import DegreeOutOfRange, SystemTooLarge, UsageError, ZeroCoefficient
 from .subsets import colex_rank, subsets_colex
 
 _MAX_ROWS = 1_000_000
@@ -59,7 +59,7 @@ class KernelSystem:
         """Matrix-vector product A c over exact rationals."""
         vec = [exact(x) for x in c]
         if len(vec) != self.num_cols:
-            raise ValueError(f"expected {self.num_cols} entries, got {len(vec)}")
+            raise UsageError(f"expected {self.num_cols} entries, got {len(vec)}")
         return tuple(
             sum((coeff * vec[col] for col, coeff in row), Fraction(0))
             for row in self.rows

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import UsageError
+
 PRIME = (1 << 31) - 1
 
 
@@ -89,7 +91,7 @@ def exact_nullity(rows: Iterable[Sequence], ncols: int) -> int:
     for row in rows:
         ints = _integer_row(row)
         if len(ints) != ncols:
-            raise ValueError("row length does not match ncols")
+            raise UsageError("row length does not match ncols")
         if any(ints):
             work.append(ints)
     rank = 0

@@ -22,7 +22,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (
     PoolInsufficient,
     PoolTooLarge,
     SkewcubeError,
+    UsageError,
 )
 
 _POOL_CAP = 10_000_000
@@ -63,13 +63,13 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be positive")
+            raise UsageError("n must be positive")
         if self.coeff_bound < 1:
-            raise ValueError("coefficient bound must be >= 1")
+            raise UsageError("coefficient bound must be >= 1")
         if self.max_k < 0:
-            raise ValueError("max_k must be >= 0")
+            raise UsageError("max_k must be >= 0")
         if self.offset_bound is not None and self.offset_bound < 0:
-            raise ValueError("offset bound must be >= 0")
+            raise UsageError("offset bound must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class SearchOutcome:
 def lower_bound(n: int) -> int:
     """Smallest integer >= n/2 + 1: no fewer skew planes can cover {-1,1}^n."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UsageError("n must be positive")
     return (n + 3) // 2
 
 
@@ -97,9 +97,9 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     by colex on (a_1..a_n, b).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
-        raise ValueError("bounds out of range")
+        raise UsageError("bounds out of range")
     if n > 24:
         raise DimensionTooLarge(f"n={n} > 24")
     estimate = (2 * coeff_bound) ** n * (2 * offset_bound + 1)
@@ -123,9 +123,7 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
 
     keep = _filter_covering(raw, n)
     keep.sort(key=lambda ab: (tuple(reversed(ab[0])), ab[1]))
-    return [
-        Hyperplane(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in keep
-    ]
+    return [Hyperplane(a, b) for a, b in keep]
 
 
 def _filter_covering(raw, n):

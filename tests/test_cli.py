@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewcube import cli
+from skewcube import cli, errors
 
 
 def run(argv, stdin=None, capsys=None, monkeypatch=None):
@@ -308,3 +312,218 @@ def test_interp_non_list_coefficients_are_parse_errors(poly, key, capsys, monkey
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and key in err
+
+
+EXIT_CODES = {
+    errors.SkewcubeError: 3,
+    errors.UsageError: 2,
+    errors.ParseError: 2,
+    errors.OddDimension: 2,
+    errors.DimensionMismatch: 3,
+    errors.DimensionTooLarge: 3,
+    errors.EmptyFamily: 3,
+    errors.MTooLarge: 3,
+    errors.MissingValue: 3,
+    errors.SignConflict: 3,
+    errors.ZeroCoefficient: 3,
+    errors.SystemTooLarge: 3,
+    errors.PoolTooLarge: 3,
+    errors.PoolInsufficient: 3,
+    errors.BadModulus: 4,
+    errors.OddModulus: 4,
+    errors.DegreeTooHigh: 4,
+    errors.BadSubsetSize: 4,
+    errors.DegreeOutOfRange: 4,
+}
+
+
+def _error_classes(cls=errors.SkewcubeError):
+    found = {cls}
+    for sub in cls.__subclasses__():
+        found |= _error_classes(sub)
+    return found
+
+
+def test_every_error_class_carries_its_exit_code():
+    assert _error_classes() == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert cls.exit_code == code, cls.__name__
+    assert issubclass(errors.UsageError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "levels", "25"],
+        ["construct", "balanced", "26"],
+        ["construct", "pow2", "5"],
+        ["construct", "pow2", str(10**30)],
+    ],
+)
+def test_construct_above_the_cap_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_construct_levels_zero_is_one_line_usage_error(capsys):
+    code, out, err = run(["construct", "levels", "0"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be >= 1, got 0\n"
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": [1, 1], "b": 0}\n\xff\xfe\n')
+    for argv in (["verify", str(bad)], ["interp", str(bad), "--m", "2", "-S", "1"]):
+        code, out, err = run(argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "UTF-8" in err
+
+
+INTERP_S1 = ["interp", "-", "--m", "2", "-S", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, want",
+    [
+        (["verify", "-"], "[" * 100_000, 2),
+        (["verify", "-"], "[" + "1" * 5000 + "]", 2),
+        (["kernel", "3", "1", "1", "1", "1" * 5000], None, 2),
+        (INTERP_S1, json.dumps({"n": 10**30, "k": 1, "coeffs": [{"S": [1], "c": [1]}]}), 3),
+        (INTERP_S1, json.dumps({"n": 5, "k": 10**8, "coeffs": []}), 3),
+    ],
+)
+def test_oversized_input_is_one_line_error(argv, stdin, want, capsys, monkeypatch):
+    code, out, err = run(argv, stdin=stdin, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == want
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**30),
+    st.floats(allow_nan=False),
+    st.sampled_from(["1/2", "-3/4", "2/0", "x", ""]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from("abnkcS"), st.integers(-2, 2), max_size=2),
+)
+_tokens = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from([str(10**30), "1/2", "-3/4", "2/0", "1.5", "x", ""]),
+    st.text(max_size=4),
+)
+_small = st.integers(-1, 4).map(str) | st.sampled_from(["25", str(10**30), "x"])
+
+
+def _maybe(strategy, junk=_junk):
+    """Mostly the well-formed value, one time in five junk in its place."""
+    return st.integers(0, 4).flatmap(lambda i: junk if i == 4 else strategy)
+
+
+def _flag(name, values):
+    """The flag with a value, one time in five left out."""
+    return _maybe(values.map(lambda v: [name, v]), st.just([]))
+
+
+@st.composite
+def _construct(draw):
+    kind = draw(st.sampled_from(["pow2", "levels", "balanced", "example-n6", "cube"]))
+    param = draw(st.lists(st.integers(-2, 26).map(str) | _tokens, max_size=1))
+    return ["construct", kind, *param], None
+
+
+@st.composite
+def _verify(draw):
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-2, 2)
+    planes = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "a": _maybe(st.lists(coeff, min_size=n, max_size=n)),
+                    "b": _maybe(st.integers(-3, 3)),
+                }
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    lines = [json.dumps(p) for p in planes]
+    tail = draw(st.sampled_from(["", "\n", "\n{", "\n" + "[" * 100_000, '\n{"a": [1], "b": 0}']))
+    argv = ["verify", "-"]
+    argv += draw(_flag("--n", st.sampled_from([str(n), str(n + 1), "x"])))
+    argv += draw(_flag("--workers", st.sampled_from(["1", "2", "0", "x"])))
+    return argv, "\n".join(lines) + tail
+
+
+@st.composite
+def _interp(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 2))
+    labels = st.lists(st.integers(1, n), max_size=2, unique=True).map(sorted)
+    vector = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    entry = st.fixed_dictionaries({"S": labels, "c": vector})
+    coeffs = draw(st.lists(entry, max_size=3, unique_by=lambda e: tuple(e["S"])))
+    poly = {"n": n, "k": k, "coeffs": coeffs}
+    bad_n = st.sampled_from([0, -1, 25, 10**30, "3", True])
+    poly["n"] = draw(_maybe(st.just(n), bad_n))
+    poly["k"] = draw(_maybe(st.just(k), st.sampled_from([0, 10**8, "1"])))
+    poly["coeffs"] = draw(_maybe(st.just(poly["coeffs"]), _junk | st.lists(_junk, max_size=2)))
+    text = draw(_maybe(st.just(json.dumps(poly)), st.sampled_from(["", "{", "[" * 100_000])))
+    argv = ["interp", "-"]
+    argv += draw(_flag("--m", st.sampled_from(["2", "4", "3", "0", "-2", "x"])))
+    argv += draw(_flag("--subset", st.sampled_from(["1", "1,2", "2,4", "", "0", "2,2", "x", "9"])))
+    return argv, text
+
+
+@st.composite
+def _kernel(draw):
+    n = draw(st.integers(1, 5))
+    nonzero = st.integers(-3, 3).filter(bool).map(str) | st.sampled_from(["1/2", "-3/4"])
+    a = draw(_maybe(st.lists(nonzero, min_size=n, max_size=n), st.lists(_tokens, max_size=6)))
+    d = draw(_maybe(st.integers(0, n).map(str), _small))
+    return ["kernel", draw(_maybe(st.just(str(n)), _small)), d, "--", *a], None
+
+
+@st.composite
+def _search(draw):
+    argv = ["search"]
+    argv += draw(_flag("--n", _small))
+    argv += draw(_flag("-B", st.sampled_from(["-1", "0", "1", "2", str(10**30)])))
+    argv += draw(_flag("--offset-bound", _small))
+    argv += draw(_flag("--max-k", st.integers(-1, 4).map(str)))
+    argv += draw(st.sampled_from([[], ["--no-canonical-first"]]))
+    return argv, None
+
+
+_invocations = st.one_of(
+    _construct(),
+    _verify(),
+    st.just((["verify", "no-such-file.jsonl"], None)),
+    _interp(),
+    _kernel(),
+    _search(),
+    st.tuples(st.lists(_tokens, max_size=4), st.just(None)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_invocations)
+def test_malformed_input_ends_in_exit_code_not_traceback(invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    if code in (3, 4):
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcube.errors import BadModulus, DegreeOutOfRange
+from skewcube.errors import BadModulus, DegreeOutOfRange, DimensionTooLarge
 from skewcube.fourier import (
     MultilinearPoly,
     ValueTable,
+    check_transform_size,
     degree,
     inverse_wht,
     random_poly,
@@ -160,3 +161,12 @@ def test_random_poly_degree_zero_is_nonzero_constant():
 def test_random_poly_degree_out_of_range():
     with pytest.raises(DegreeOutOfRange):
         random_poly(3, 4, 1, seed=0)
+
+
+def test_transform_cap_counts_values_and_refuses_before_building():
+    check_transform_size(24, 1)
+    check_transform_size(22, 4)
+    for n, k in [(25, 1), (23, 3), (5, 10**8), (10**30, 1)]:
+        with pytest.raises(DimensionTooLarge):
+            inverse_wht(MultilinearPoly(n, k, {}))
+    assert MultilinearPoly(10**30, 1, {1: (1,)}).coeffs == {1: (Fraction(1),)}
