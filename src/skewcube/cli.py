@@ -31,8 +31,8 @@ from .constructions import (
 )
 from .cube import CoverFamily, CoverReport, Hyperplane, verify_cover
 from .errors import DegreeTooHigh, DimensionMismatch, ParseError, SkewcubeError, UsageError
-from .fourier import MultilinearPoly, check_transform_size, degree, inverse_wht
-from .interpolation import build_scheme, recover_coefficient
+from .fourier import MultilinearPoly, degree
+from .interpolation import build_scheme, check_recovery_size, recover_coefficient
 from .kernel import build_system, kernel_dim
 from .search import SearchConfig, SearchStatus, min_cover_search
 from .subsets import mask_of
@@ -204,11 +204,12 @@ def cmd_interp(args) -> int:
     deg = degree(poly)
     if deg > d:
         raise DegreeTooHigh(f"deg(f) = {deg} exceeds |S| = {d}")
-    # The table's size cap comes first: build_scheme's layout is n entries long.
-    check_transform_size(poly.n, poly.k)
-    # build_scheme enforces the even modulus and n >= d*m + m/2, exit 4
+    # The even modulus and n >= d*m + m/2 (exit 4), then the size cap (exit 3),
+    # all before build_scheme lays out n coordinates.
+    check_recovery_size(poly.n, poly.k, args.m, subset)
     scheme = build_scheme(poly.n, args.m, d, subset)
-    recovered = recover_coefficient(scheme, inverse_wht(poly))
+    # Only the scheme's atoms are evaluated, never the 2^n value table.
+    recovered = recover_coefficient(scheme, lambda pt: poly.value_at(pt.bits))
     direct = poly.coeffs.get(mask_of(subset), (Fraction(0),) * poly.k)
     match = recovered == direct
     _emit(
@@ -243,14 +244,6 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_search(args) -> int:
-    for flag, value, least in (
-        ("--n", args.n, 1),
-        ("--coeff-bound", args.coeff_bound, 1),
-        ("--offset-bound", args.offset_bound, 0),
-        ("--max-k", args.max_k, 0),
-    ):
-        if value is not None and value < least:
-            raise UsageError(f"search: {flag} must be at least {least}, got {value}")
     config = SearchConfig(
         n=args.n,
         coeff_bound=args.coeff_bound,

@@ -52,7 +52,8 @@ class CubePoint:
     def __post_init__(self):
         if self.n < 1:
             raise UsageError("dimension must be positive")
-        if not 0 <= self.bits < (1 << self.n):
+        # bits >> n tests the range without building 2^n, so any n is cheap.
+        if self.bits < 0 or self.bits >> self.n:
             raise UsageError(f"mask 0x{self.bits:x} out of range for n={self.n}")
 
     @property

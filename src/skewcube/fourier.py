@@ -5,13 +5,23 @@ key means coordinate j appears in the monomial, and the monomial's value at a
 point mask is (-1)^popcount(key & mask). The transform pair is the in-place
 butterfly; the coefficient direction divides by 2^n and the value direction
 does not, so the round trip is the identity over exact rationals.
+
+Point evaluation never adds fractions. ``MultilinearPoly`` writes every
+coefficient entry as an integer numerator over one common denominator D, the
+lcm of all entry denominators, so each entry is exactly num / D. A value is a
+signed sum of entries, which is the same signed sum of numerators over D:
+Python integers neither round nor overflow, and one ``Fraction(sum, D)`` per
+output component reduces the result to lowest terms.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .cube import MAX_EXHAUSTIVE_N, CubePoint, exact
 from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
@@ -24,7 +34,9 @@ class MultilinearPoly:
 
     Zero coefficient vectors are dropped at construction, so ``degree`` can
     read the support directly. The zero polynomial has an empty map and, by
-    convention, degree 0.
+    convention, degree 0. Construction also stores the common denominator
+    ``_den`` and the integer numerators ``_terms`` that ``value_at`` sums;
+    they are not fields, so equality and ``repr`` read ``coeffs`` alone.
     """
 
     n: int
@@ -46,18 +58,26 @@ class MultilinearPoly:
             if any(v):
                 clean[mask] = v
         object.__setattr__(self, "coeffs", clean)
+        den = math.lcm(*(x.denominator for vec in clean.values() for x in vec))
+        terms = tuple(
+            (mask, tuple(x.numerator * (den // x.denominator) for x in vec))
+            for mask, vec in clean.items()
+        )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", terms)
 
     def value_at(self, bits: int) -> tuple[Fraction, ...]:
-        """Evaluate at a point mask by direct monomial summation."""
-        acc = [Fraction(0)] * self.k
-        for mask, vec in self.coeffs.items():
+        """Evaluate at a point mask by direct monomial summation on integer numerators."""
+        acc = [0] * self.k
+        for mask, nums in self._terms:
             if (mask & bits).bit_count() & 1:
-                for i, v in enumerate(vec):
+                for i, v in enumerate(nums):
                     acc[i] -= v
             else:
-                for i, v in enumerate(vec):
+                for i, v in enumerate(nums):
                     acc[i] += v
-        return tuple(acc)
+        den = self._den
+        return tuple(Fraction(a, den) for a in acc)
 
 
 @dataclass(frozen=True, eq=True)
@@ -74,8 +94,9 @@ class ValueTable:
         if self.k < 1:
             raise UsageError("codomain dimension must be positive")
         vals = tuple(tuple(exact(x) for x in row) for row in self.values)
-        if len(vals) != (1 << self.n):
-            raise UsageError(f"expected {1 << self.n} values, got {len(vals)}")
+        # 2^n is built only once it is known to be at most len(vals).
+        if self.n >= len(vals).bit_length() or len(vals) != 1 << self.n:
+            raise UsageError(f"expected 2^{self.n} values, got {len(vals)}")
         if any(len(row) != self.k for row in vals):
             raise UsageError("value rows must all have length k")
         object.__setattr__(self, "values", vals)
@@ -132,7 +153,9 @@ def w_set(n: int, m: int) -> list[CubePoint]:
         raise BadModulus(f"modulus must be >= 2, got {m}")
     if n > MAX_EXHAUSTIVE_N:
         raise DimensionTooLarge(f"n={n} > {MAX_EXHAUSTIVE_N}")
-    return [CubePoint(x, n) for x in range(1 << n) if x.bit_count() % m == 0]
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) % m == 0]
+    return [CubePoint(x, n) for x in masks.tolist()]
 
 
 def random_poly(n: int, d: int, k: int, seed) -> MultilinearPoly:

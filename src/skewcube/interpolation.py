@@ -19,6 +19,20 @@ exact rational identity: terms missing some chunk average to zero with the
 sign, terms of degree d meeting every chunk reduce to a product of single
 coordinate expectations, and each non-end coordinate is -1 with probability
 exactly 1/2.
+
+Recovery runs on integers. Every atom weight is a product of 1/m,
+1/(2*C(m-2, m/2-1)) and 2^-d, so the scheme stores one common weight
+denominator D and a signed integer numerator w per atom, and the weighted
+sum is (sum of w * value) / D. ``recover_coefficient`` adds the products
+w * p for each value p/q into one integer per distinct q, then brings those
+few sums over their lcm L and divides once by L * D. Each step is integer
+arithmetic, which is exact, so the result equals the rational sum term by
+term.
+
+A scheme for modulus m and degree d has (2 * (1 + C(m-1, m/2)))^d atoms
+whatever n is. ``check_recovery_size`` bounds a recovery by that count
+times n + k (the atoms' n-bit points and the k values read at each) before
+``build_scheme`` allocates anything n long.
 """
 
 from __future__ import annotations
@@ -49,6 +63,8 @@ from .fourier import ValueTable
 from .linalg import exact_nullity, modp_rank
 from .subsets import mask_of, subsets_colex
 
+# Largest recovery check_recovery_size admits: atoms * (n + k) cells.
+MAX_RECOVERY_CELLS = 1 << 20
 _VANISHING_N_CAP = 20
 # Largest Gram matrix vanishing_dimension builds: 8192^2 int64 cells, 512 MiB.
 _MAX_GRAM_SIDE = 8192
@@ -80,7 +96,10 @@ class InterpolationScheme:
 
     Atoms are (point, weight, sign) with positive weights summing to exactly 1,
     every point's -1 count divisible by m, and no repeated points. All of that
-    is validated at construction.
+    is validated at construction, which also stores the common weight
+    denominator ``_den`` and the (point, signed integer numerator) pairs
+    ``_terms`` that ``recover_coefficient`` sums. They are not fields, so
+    equality and ``repr`` read ``atoms`` alone.
     """
 
     n: int
@@ -92,6 +111,7 @@ class InterpolationScheme:
     def __post_init__(self):
         total = Fraction(0)
         seen: set[int] = set()
+        signed: list[tuple[CubePoint, Fraction]] = []
         for point, weight, sign in self.atoms:
             if point.n != self.n:
                 raise SkewcubeError("atom dimension mismatch")
@@ -104,13 +124,19 @@ class InterpolationScheme:
             if point.weight % self.m:
                 raise SkewcubeError("atom point outside W(m)")
             seen.add(point.bits)
+            weight = exact(weight)
+            signed.append((point, weight if sign > 0 else -weight))
             total += weight
         if total != 1:
             raise SkewcubeError(f"atom weights sum to {total}, expected 1")
+        den = math.lcm(*(w.denominator for _, w in signed))
+        terms = tuple((point, w.numerator * (den // w.denominator)) for point, w in signed)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", terms)
 
 
-def chunk_layout(n: int, m: int, d: int, subset: Iterable[int]) -> ChunkLayout:
-    """Canonical chunk layout for recovering the coefficient at ``subset``."""
+def _checked_subset(n: int, m: int, d: int, subset: Iterable[int]) -> tuple[int, ...]:
+    """The sorted subset, once m, d and the subset fit a layout on n coordinates."""
     if m < 2 or m % 2:
         raise OddModulus(f"modulus must be even and >= 2, got {m}")
     if d < 0:
@@ -124,10 +150,17 @@ def chunk_layout(n: int, m: int, d: int, subset: Iterable[int]) -> ChunkLayout:
         raise DegreeTooHigh(
             f"degree {d} too high for n={n}, m={m}: need n >= d*m + m/2 = {d * m + m // 2}"
         )
+    return sub
+
+
+def chunk_layout(n: int, m: int, d: int, subset: Iterable[int]) -> ChunkLayout:
+    """Canonical chunk layout for recovering the coefficient at ``subset``."""
+    sub = _checked_subset(n, m, d, subset)
     order = [0] * n
     for i, s in enumerate(sub):
         order[i * m + m - 1] = s
-    others = iter(sorted(set(range(1, n + 1)) - set(sub)))
+    taken = set(sub)
+    others = (label for label in range(1, n + 1) if label not in taken)
     for p in range(n):
         if order[p] == 0:
             order[p] = next(others)
@@ -198,6 +231,36 @@ def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> Interpolation
     return InterpolationScheme(n, m, d, layout.subset, atoms)
 
 
+def atom_count(m: int, d: int) -> int:
+    """Atoms of ``build_scheme(n, m, d, S)`` for even m >= 2, any valid n and S.
+
+    Each chunk has 1 + C(m-1, m/2) states and two signs. A point's chunk bits
+    determine both (the chunk-end coordinate is -1 exactly when the chunk is
+    negated), so no two atoms merge and the count is (2 * (1 + C(m-1, m/2)))^d.
+    At d = 0 the binomial, slow for a huge m, is skipped.
+    """
+    return (2 * (1 + math.comb(m - 1, m // 2))) ** d if d else 1
+
+
+def check_recovery_size(n: int, k: int, m: int, subset: Sequence[int]) -> None:
+    """Refuse a recovery of more than MAX_RECOVERY_CELLS cells before its scheme is built.
+
+    A recovery of k-vectors on n coordinates costs atom_count(m, d) * (n + k)
+    cells. The layout's own preconditions are checked first, with the errors
+    ``build_scheme`` raises. Every chunk multiplies the atoms by at least 2m,
+    so a modulus above half the cap is refused without its binomial.
+    """
+    d = len(subset)
+    _checked_subset(n, m, d, subset)
+    if d and 2 * m > MAX_RECOVERY_CELLS:
+        raise DimensionTooLarge(f"m={m} gives more than 2^20 atoms per chunk")
+    atoms = atom_count(m, d)
+    if atoms * (n + k) > MAX_RECOVERY_CELLS:
+        raise DimensionTooLarge(
+            f"atoms * (n + k) = {atoms} * {n + k} exceeds the recovery cap 2^20"
+        )
+
+
 def recover_coefficient(
     scheme: InterpolationScheme,
     f: ValueTable | Callable[[CubePoint], Sequence],
@@ -219,21 +282,30 @@ def recover_coefficient(
     else:
         raise TypeError("f must be a ValueTable or a callable")
 
-    acc: list[Fraction] | None = None
-    for point, weight, sign in scheme.atoms:
+    k = None
+    # value denominator q -> per component, the sum of w * p over values p/q
+    sums: dict[int, list[int]] = {}
+    for point, w in scheme._terms:
         value = getter(point)
         if value is None:
             raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
-        vec = tuple(exact(v) for v in value)
-        if acc is None:
-            acc = [Fraction(0)] * len(vec)
-        elif len(vec) != len(acc):
+        vec = [v if type(v) in (int, Fraction) else exact(v) for v in value]
+        if k is None:
+            k = len(vec)
+        elif len(vec) != k:
             raise MissingValue("f returned vectors of inconsistent dimension")
-        signed = weight if sign > 0 else -weight
         for i, v in enumerate(vec):
-            acc[i] += signed * v
-    assert acc is not None  # schemes always carry at least one atom
-    return tuple(acc)
+            q = v.denominator
+            row = sums.get(q)
+            if row is None:
+                row = sums[q] = [0] * k
+            row[i] += w * v.numerator
+    assert k is not None  # schemes always carry at least one atom
+    lcm = math.lcm(*sums)
+    den = lcm * scheme._den
+    return tuple(
+        Fraction(sum(row[i] * (lcm // q) for q, row in sums.items()), den) for i in range(k)
+    )
 
 
 def _krawtchouk(n: int, k: int, u: int) -> int:

@@ -62,14 +62,15 @@ class SearchConfig:
     canonical_first_plane: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
-            raise UsageError("n must be positive")
-        if self.coeff_bound < 1:
-            raise UsageError("coefficient bound must be >= 1")
-        if self.max_k < 0:
-            raise UsageError("max_k must be >= 0")
-        if self.offset_bound is not None and self.offset_bound < 0:
-            raise UsageError("offset bound must be >= 0")
+        # Messages name each field by its command-line flag.
+        for flag, value, least in (
+            ("--n", self.n, 1),
+            ("--coeff-bound", self.coeff_bound, 1),
+            ("--offset-bound", self.offset_bound, 0),
+            ("--max-k", self.max_k, 0),
+        ):
+            if value is not None and value < least:
+                raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -527,3 +527,59 @@ def test_malformed_input_ends_in_exit_code_not_traceback(invocation):
     if code in (3, 4):
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
+def _no_table(*args):
+    raise AssertionError("interp built a 2^n value table")
+
+
+def test_interp_past_24_evaluates_atoms_only(capsys, monkeypatch):
+    from skewcube import fourier
+
+    monkeypatch.setattr(fourier, "inverse_wht", _no_table)
+    monkeypatch.setattr(fourier, "_butterfly", _no_table)
+    poly = {
+        "n": 40,
+        "k": 2,
+        "coeffs": [
+            {"S": [4, 8, 12], "c": ["-7/3", 5]},
+            {"S": [1, 20, 40], "c": [1, "1/2"]},
+            {"S": [2, 39], "c": [str(3**50), 0]},
+            {"S": [], "c": ["2/9", -1]},
+        ],
+    }
+    argv = ["interp", "-", "--m", "4", "-S", "4,8,12"]
+    code, out, err = run(argv, stdin=json.dumps(poly), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"coefficient": ["-7/3", 5], "direct": ["-7/3", 5], "match": True}
+    argv = ["interp", "-", "--m", "4", "-S", "1,20,40"]
+    code, out, err = run(argv, stdin=json.dumps(poly), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, json.loads(out)["coefficient"]) == (0, [1, "1/2"])
+
+
+def test_interp_cap_refuses_before_build_scheme(capsys, monkeypatch):
+    def no_scheme(*args):
+        raise AssertionError("build_scheme ran past the cap")
+
+    monkeypatch.setattr(cli, "build_scheme", no_scheme)
+    # 512 atoms * (2047 + 2) > 2^20, and 4^8 atoms * (17 + 1) > 2^20 at n <= 24
+    for n, m, subset in [(2047, "4", "4,8,12"), (17, "2", "2,4,6,8,10,12,14,16")]:
+        poly = json.dumps({"n": n, "k": 2 if m == "4" else 1, "coeffs": []})
+        argv = ["interp", "-", "--m", m, "-S", subset]
+        code, out, err = run(argv, stdin=poly, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "2^20" in err
+
+
+def test_search_config_messages_name_the_flag():
+    from skewcube.search import SearchConfig
+
+    for kwargs, flag in [
+        ({"n": 0}, "--n"),
+        ({"n": 3, "coeff_bound": 0}, "--coeff-bound"),
+        ({"n": 3, "offset_bound": -1}, "--offset-bound"),
+        ({"n": 3, "max_k": -1}, "--max-k"),
+    ]:
+        with pytest.raises(errors.UsageError, match=flag):
+            SearchConfig(**kwargs)

@@ -363,3 +363,13 @@ def test_integerized_matches_fraction_arithmetic(values):
     assert a_int == tuple(int(c * den) for c in plane.a)
     assert b_int == int(plane.b * den)
     assert all(type(v) is int for v in (*a_int, b_int))
+
+
+def test_cube_point_range_without_building_two_to_the_n():
+    from skewcube.errors import UsageError
+
+    assert CubePoint(1, 10**30).weight == 1
+    assert CubePoint((1 << 40) - 1, 40).weight == 40
+    for bits, n in [(1 << 40, 40), (-1, 3), (1 << 10**6, 10**6), (8, 3)]:
+        with pytest.raises(UsageError):
+            CubePoint(bits, n)

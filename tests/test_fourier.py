@@ -170,3 +170,48 @@ def test_transform_cap_counts_values_and_refuses_before_building():
         with pytest.raises(DimensionTooLarge):
             inverse_wht(MultilinearPoly(n, k, {}))
     assert MultilinearPoly(10**30, 1, {1: (1,)}).coeffs == {1: (Fraction(1),)}
+
+
+def _w_set_reference(n, m):
+    """The mask loop w_set used before it selected with numpy."""
+    return [x for x in range(1 << n) if x.bit_count() % m == 0]
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (5, 2), (6, 3), (9, 4), (12, 5), (14, 7)])
+def test_w_set_matches_mask_loop(n, m):
+    pts = w_set(n, m)
+    assert [p.bits for p in pts] == _w_set_reference(n, m)
+    assert all(type(p.bits) is int and p.n == n for p in pts)
+
+
+non_integer_rationals = st.fractions(max_denominator=10**6).filter(lambda q: q.denominator > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.data())
+def test_value_at_matches_inverse_wht_on_rational_coefficients(n, k, data):
+    coeffs = {
+        mask: tuple(data.draw(non_integer_rationals | st.integers(-(2**70), 2**70)) for _ in range(k))
+        for mask in data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    }
+    poly = MultilinearPoly(n, k, coeffs)
+    table = inverse_wht(poly)
+    assert [poly.value_at(x) for x in range(1 << n)] == list(table.values)
+
+
+def test_poly_integer_numerators_are_not_fields():
+    a = MultilinearPoly(3, 2, {0b1: (Fraction(1, 2), 3), 0b110: (Fraction(-2, 3), 0)})
+    assert a._den == 6
+    assert dict(a._terms) == {0b1: (3, 18), 0b110: (-4, 0)}
+    assert a == MultilinearPoly(3, 2, {0b110: ("-2/3", 0), 0b1: ("1/2", "3")})
+    assert "_den" not in repr(a) and "_terms" not in repr(a)
+    assert MultilinearPoly(4, 1, {}).value_at(5) == (Fraction(0),)
+
+
+def test_value_table_huge_n_is_usage_error():
+    from skewcube.errors import UsageError
+
+    with pytest.raises(UsageError):
+        ValueTable(10**30, 1, ((1,),))
+    with pytest.raises(UsageError):
+        ValueTable(2, 1, ((1,),) * 3)

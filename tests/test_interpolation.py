@@ -283,3 +283,119 @@ def test_vanishing_dimension_refuses_large_gram(monkeypatch):
     # C(16, <=7) = 26,333 subsets against 2^15 points: a 5.5 GB Gram side
     with pytest.raises(SystemTooLarge):
         vanishing_dimension(16, 2, 7)
+
+
+def _fraction_sum_oracle(scheme, f):
+    """The weighted signed sum over the atoms, in plain Fraction arithmetic."""
+    acc = None
+    for point, weight, sign in scheme.atoms:
+        vec = [Fraction(v) for v in f(point)]
+        if acc is None:
+            acc = [Fraction(0)] * len(vec)
+        for i, v in enumerate(vec):
+            acc[i] += sign * weight * v
+    return tuple(acc)
+
+
+_SCHEME_SHAPES = [(3, 2, 1, (2,)), (5, 2, 2, (1, 4)), (6, 4, 1, (3,)), (7, 2, 3, (2, 4, 6))]
+_big_numerators = st.integers(2**63, 2**90) | st.integers(-(2**90), -(2**63)) | st.integers(-9, 9)
+_denominators = st.sampled_from([1, 2, 3, 7, 12, 2**61 - 1, 10**20 + 39])
+
+
+@st.composite
+def _exact_values(draw):
+    """An int, a Fraction or a "p/q" string, with large numerators and mixed denominators."""
+    num, den = draw(_big_numerators), draw(_denominators)
+    q = Fraction(num, den)
+    form = draw(st.sampled_from(["int", "fraction", "string"]))
+    if form == "int":
+        return num
+    if form == "fraction":
+        return q
+    return f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SCHEME_SHAPES),
+    st.integers(1, 3),
+    st.lists(_exact_values(), min_size=1, max_size=16),
+    st.integers(1, 10**6),
+)
+def test_recover_matches_fraction_sum_oracle(shape, k, pool, stride):
+    # atom i, component j reads pool[(i * k + j) * stride % len(pool)]
+    scheme = build_scheme(*shape)
+    table = {
+        point.bits: tuple(pool[(i * k + j) * stride % len(pool)] for j in range(k))
+        for i, (point, _, _) in enumerate(scheme.atoms)
+    }
+    f = lambda pt: table[pt.bits]
+    assert recover_coefficient(scheme, f) == _fraction_sum_oracle(scheme, f)
+
+
+def test_recover_accepts_list_and_generator_values():
+    scheme = build_scheme(5, 2, 2, (1, 4))
+    want = _fraction_sum_oracle(scheme, lambda pt: (pt.bits, Fraction(1, 3)))
+    assert recover_coefficient(scheme, lambda pt: [pt.bits, "1/3"]) == want
+    assert recover_coefficient(scheme, lambda pt: iter((pt.bits, Fraction(1, 3)))) == want
+
+
+def test_recover_float_value_raises_type_error():
+    scheme = build_scheme(3, 2, 1, {2})
+    with pytest.raises(TypeError):
+        recover_coefficient(scheme, lambda p: (0.5,))
+    with pytest.raises(TypeError):
+        recover_coefficient(scheme, lambda p: (1, 0.5) if p.bits else (1, 2))
+
+
+def test_recover_inconsistent_lengths_is_missing_value():
+    scheme = build_scheme(3, 2, 1, {2})
+    with pytest.raises(MissingValue):
+        recover_coefficient(scheme, lambda p: (1,) * (1 + (p.bits & 1)))
+
+
+def test_scheme_integer_weights_reproduce_atoms():
+    scheme = build_scheme(10, 4, 2, (4, 8))
+    assert [pt for pt, _ in scheme._terms] == [pt for pt, _, _ in scheme.atoms]
+    for (_, w), (_, weight, sign) in zip(scheme._terms, scheme.atoms):
+        assert Fraction(w, scheme._den) == sign * weight
+
+
+def test_atom_count_matches_build_scheme():
+    from skewcube.interpolation import atom_count
+
+    for n, m, d in [(1, 2, 0), (3, 2, 1), (7, 2, 3), (6, 4, 1), (14, 4, 3), (15, 6, 2), (12, 8, 1)]:
+        subset = tuple(range(1, d + 1))
+        assert len(build_scheme(n, m, d, subset).atoms) == atom_count(m, d), (n, m, d)
+
+
+def test_recovery_cap_counts_atoms_times_width(monkeypatch):
+    from skewcube import interpolation
+    from skewcube.errors import DimensionTooLarge
+    from skewcube.interpolation import MAX_RECOVERY_CELLS, check_recovery_size
+
+    # (m=4, d=3) has 512 atoms, so n + k may reach 2^20 / 512 = 2048
+    check_recovery_size(40, 2, 4, (4, 8, 12))
+    check_recovery_size(2046, 2, 4, (4, 8, 12))
+    check_recovery_size(MAX_RECOVERY_CELLS - 1, 1, 2, ())
+    for n, k, m, subset in [
+        (2047, 2, 4, (4, 8, 12)),
+        (MAX_RECOVERY_CELLS, 1, 2, ()),
+        (10**30, 1, 2, (1,)),
+        (5, 10**8, 2, (1,)),
+    ]:
+        with pytest.raises(DimensionTooLarge):
+            check_recovery_size(n, k, m, subset)
+    # the layout's own preconditions come first, as build_scheme reports them
+    with pytest.raises(OddModulus):
+        check_recovery_size(10**30, 1, 3, (1,))
+    with pytest.raises(BadSubsetSize):
+        check_recovery_size(10**30, 1, 2, (0,))
+
+    def no_comb(*args):
+        raise AssertionError("binomial of a huge modulus computed")
+
+    # a modulus above half the cap is refused without C(m - 1, m / 2)
+    monkeypatch.setattr(interpolation.math, "comb", no_comb)
+    with pytest.raises(DimensionTooLarge):
+        check_recovery_size(10**30, 1, 2 * 10**20, (1,))
