@@ -6,13 +6,16 @@ and actually do somewhere, and orders them canonically. The cover search is
 depth-first branch and bound with iterative deepening on the family size,
 starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
 that is vacuous by the bound, and the search reports it as exhausted without
-exploring. Inside the tree two rules prune a node whose remaining budget
-cannot finish the cover: a counting rule (the budget times the largest
+exploring. Inside the tree two lower bounds prune a child whose remaining
+budget cannot finish the cover: a counting rule (the budget times the largest
 single-plane coverage is below the number of uncovered points) and a packing
 rule (more than budget uncovered points, no two of which lie on a common pool
 plane). The packing rule is sound because each of those points needs a plane
-of its own. Negative outcomes are always claims relative to the configured
-bounds, never unconditional nonexistence statements.
+of its own. A node tests its children against both rules before recursing:
+the counting rule cuts a suffix of the sorted children in one comparison per
+child and no call, the packing rule is tested on each child that survives it.
+Negative outcomes are always claims relative to the configured bounds, never
+unconditional nonexistence statements.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .errors import (
 
 _POOL_CAP = 10_000_000
 _POOL_BLOCK = 65536
+# Nodes between reads of the clock when a time budget is set.
+_CHECK_EVERY = 256
 
 
 class SearchStatus(enum.Enum):
@@ -52,6 +57,7 @@ class SearchConfig:
 
     ``offset_bound`` defaults to n (level-set planes need offsets up to n).
     A ``max_k`` below the proven lower bound makes the run vacuous.
+    ``time_budget`` is in seconds; None means no limit.
     """
 
     n: int
@@ -62,14 +68,16 @@ class SearchConfig:
     canonical_first_plane: bool = True
 
     def __post_init__(self):
-        # Messages name each field by its command-line flag.
+        # Messages name each field by its command-line flag. The test is
+        # written "not >=" so that a NaN time budget fails it too.
         for flag, value, least in (
             ("--n", self.n, 1),
             ("--coeff-bound", self.coeff_bound, 1),
             ("--offset-bound", self.offset_bound, 0),
             ("--max-k", self.max_k, 0),
+            ("--time-budget", self.time_budget, 0),
         ):
-            if value is not None and value < least:
+            if value is not None and not value >= least:
                 raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
@@ -170,22 +178,37 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     At each node the lowest-mask uncovered point is selected and the branch
     runs over the pool planes covering it, ordered by descending fresh
-    coverage with pool order breaking ties. A node is pruned by either of two
-    lower bounds on the planes still needed:
+    coverage (points of the node it newly covers) with pool order breaking
+    ties. A child is cut, before any call, by either of two lower bounds on
+    the planes still needed:
 
-    - counting: the remaining budget times the best single-plane coverage
-      cannot reach the uncovered count;
-    - packing: walking the uncovered points in mask order and taking each
-      one that shares no pool plane with a point already taken yields more
-      than budget points. Every taken point needs a plane of its own, so no
-      cover within the budget exists below the node.
+    - counting: the child's budget times the best single-plane coverage
+      cannot reach its uncovered count. With U uncovered points and budget b
+      at the node, child i fails exactly when fresh_i < |U| - (b-1)*max_cov.
+      Fresh coverage is non-increasing along the sorted children, so the
+      failing children form a suffix: the node computes fresh once per
+      candidate, sorts only the children that pass, and counts the rest in
+      one step after the passing children are exhausted;
+    - packing: walking the child's uncovered points in mask order and taking
+      each one that shares no pool plane with a point already taken yields
+      more than budget points. Every taken point needs a plane of its own,
+      so no cover within the budget exists below the child. It is tested on
+      each child that passes counting, just before recursing into it.
 
-    Both rules remove only subtrees without a cover within the budget, so
-    they change node counts but never which cover is found first. At the
-    root, when enabled, branching is restricted to orbit representatives
-    under coordinate permutations and sign flips, which is sound because the
-    pool is closed under those symmetries. Runs without a time budget are
-    fully deterministic, including node counts.
+    The root of each family size k is tested by the same two rules. Both
+    rules remove only subtrees without a cover within the budget, so they
+    change node counts but never which cover is found first. At the root,
+    when enabled, branching is restricted to orbit representatives under
+    coordinate permutations and sign flips, which is sound because the pool
+    is closed under those symmetries.
+
+    ``nodes_explored`` counts every node generated: each root, and every
+    child of a node that branched, whether it was cut by a bound before any
+    call or recursed into. A cover found ends the count at its own node, so
+    the children a node would have tried after it are not counted. Runs
+    without a time budget are fully deterministic, including node counts.
+    With a budget the clock is read about every 256 nodes, and a run past its
+    deadline returns ``timeout``.
     """
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
@@ -222,48 +245,65 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     nodes = 0
+    # Cut children are counted in bulk, so ``nodes`` can step over any fixed
+    # multiple; the clock is read once ``nodes`` reaches this threshold.
+    next_check = _CHECK_EVERY if deadline is not None else math.inf
     timed_out = False
+    chosen: list[int] = []
 
-    def dfs(covered: int, chosen: list[int], budget: int):
-        nonlocal nodes, timed_out
-        nodes += 1
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            timed_out = True
-            return None
-        uncovered = full & ~covered
-        if not uncovered:
-            return chosen
-        if uncovered.bit_count() > budget * max_cov:
-            return None
-        rest = uncovered
+    def packs(rest: int, budget: int) -> bool:
+        # Packing bound: False when more than budget points of ``rest``, taken
+        # greedily in mask order, share no pool plane pairwise.
         packed = 0
         while rest:
             packed += 1
             if packed > budget:
-                return None
+                return False
             rest &= ~nbr[(rest & -rest).bit_length() - 1]
-        if not chosen and roots is not None:
-            cands = roots
+        return True
+
+    def expand(uncovered: int, budget: int) -> bool:
+        """Branch at a node that passed both bounds; True when a cover lies
+        below it, left on ``chosen``."""
+        nonlocal nodes, next_check, timed_out
+        left = uncovered.bit_count()
+        if chosen or roots is None:
+            cands = covering[(uncovered & -uncovered).bit_length() - 1]
         else:
-            v = (uncovered & -uncovered).bit_length() - 1
-            cands = covering[v]
-        for i in sorted(cands, key=lambda i: (-(cov[i] & uncovered).bit_count(), i)):
-            res = dfs(covered | cov[i], chosen + [i], budget - 1)
-            if res is not None:
-                return res
+            cands = roots
+        # Counting bound: child i keeps left - fresh_i points for child_budget
+        # planes, so it fails exactly when fresh_i < need.
+        child_budget = budget - 1
+        need = left - child_budget * max_cov
+        kids = sorted([(-f, i) for i in cands if (f := (cov[i] & uncovered).bit_count()) >= need])
+        for _, i in kids:
+            nodes += 1
+            if nodes >= next_check:
+                if time.monotonic() > deadline:
+                    timed_out = True
+                    return False
+                next_check = nodes + _CHECK_EVERY
+            chosen.append(i)
+            rest = uncovered & ~cov[i]
+            if not rest or (packs(rest, child_budget) and expand(rest, child_budget)):
+                return True
+            chosen.pop()
             if timed_out:
-                return None
-        return None
+                return False
+        # The failing children sort after every passing one; count them only
+        # now, since a cover found above returns before reaching them.
+        nodes += len(cands) - len(kids)
+        return False
 
     for k in range(k_lo, config.max_k + 1):
-        found = dfs(0, [], k)
-        if timed_out:
-            return SearchOutcome(SearchStatus.TIMEOUT, None, nodes, pool_size)
-        if found is not None:
-            family = CoverFamily(tuple(pool[i] for i in found))
+        nodes += 1
+        if width <= k * max_cov and packs(full, k) and expand(full, k):
+            family = CoverFamily(tuple(pool[i] for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")
             return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, pool_size)
+        if timed_out:
+            return SearchOutcome(SearchStatus.TIMEOUT, None, nodes, pool_size)
     return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, nodes, pool_size)
 
 

@@ -583,3 +583,22 @@ def test_search_config_messages_name_the_flag():
     ]:
         with pytest.raises(errors.UsageError, match=flag):
             SearchConfig(**kwargs)
+
+
+def test_search_time_budget_zero_exits_1_with_timeout(capsys):
+    code, out, _ = run(
+        ["search", "--n", "6", "-B", "2", "--offset-bound", "6", "--max-k", "5", "--time-budget", "0"],
+        capsys=capsys,
+    )
+    assert code == 1
+    got = json.loads(out)
+    assert got["status"] == "timeout"
+    assert got["family"] is None
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+def test_search_bad_time_budget_is_usage_error(budget, capsys):
+    code, out, err = run(["search", "--n", "3", "--time-budget", budget], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--time-budget" in err

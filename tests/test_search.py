@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from skewcube import cube
 from skewcube.constructions import level_set_cover, power_of_two_cover
-from skewcube.cube import Hyperplane, covered_set, is_skew, verify_cover
-from skewcube.errors import PoolInsufficient, PoolTooLarge
+from skewcube.cube import CoverFamily, Hyperplane, covered_set, is_skew, verify_cover
+from skewcube.errors import PoolInsufficient, PoolTooLarge, UsageError
 from skewcube.search import (
     SearchConfig,
+    SearchOutcome,
     SearchStatus,
+    _canonical_root,
     _covered_bitsets,
     candidate_pool,
     greedy_cover,
@@ -249,3 +251,138 @@ def test_covered_bitsets_across_chunks():
     assert all(w & low and w & ~low for w in want)  # both chunks contribute
     assert _covered_bitsets(pool, n) == want
     assert _covered_bitsets(big, n) == want
+
+
+def reference_search(config):
+    """The search with one recursive call per child, bounds tested on entry.
+
+    Same pool, bitsets, branching order and bounds as ``min_cover_search``,
+    with every child a call of its own that counts itself and then tests
+    the counting and packing bounds. No time budget.
+    """
+    n = config.n
+    offset = config.offset_bound if config.offset_bound is not None else n
+    pool = candidate_pool(n, config.coeff_bound, offset)
+    k_lo = lower_bound(n)
+    if config.max_k < k_lo:
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, 0, len(pool))
+    cov = _covered_bitsets(pool, n)
+    max_cov = max((c.bit_count() for c in cov), default=0)
+    width = 1 << n
+    full = (1 << width) - 1
+    covering = [[i for i, c in enumerate(cov) if c >> v & 1] for v in range(width)]
+    nbr = [1 << v for v in range(width)]
+    for v, planes in enumerate(covering):
+        for i in planes:
+            nbr[v] |= cov[i]
+    roots = [i for i, p in enumerate(pool) if _canonical_root(p)] if config.canonical_first_plane else None
+    nodes = 0
+
+    def dfs(covered, chosen, budget):
+        nonlocal nodes
+        nodes += 1
+        uncovered = full & ~covered
+        if not uncovered:
+            return chosen
+        if uncovered.bit_count() > budget * max_cov:
+            return None
+        rest = uncovered
+        packed = 0
+        while rest:
+            packed += 1
+            if packed > budget:
+                return None
+            rest &= ~nbr[(rest & -rest).bit_length() - 1]
+        if not chosen and roots is not None:
+            cands = roots
+        else:
+            v = (uncovered & -uncovered).bit_length() - 1
+            cands = covering[v]
+        for i in sorted(cands, key=lambda i: (-(cov[i] & uncovered).bit_count(), i)):
+            res = dfs(covered | cov[i], chosen + [i], budget - 1)
+            if res is not None:
+                return res
+        return None
+
+    for k in range(k_lo, config.max_k + 1):
+        found = dfs(0, [], k)
+        if found is not None:
+            family = CoverFamily(tuple(pool[i] for i in found))
+            return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, len(pool))
+    return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, nodes, len(pool))
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize(
+    "n, coeff_bound",
+    [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)],
+)
+def test_search_matches_reference(n, coeff_bound, canonical):
+    # offsets past coeff_bound * n give the same pool
+    for offset in range(coeff_bound * n + 1):
+        cfg = SearchConfig(
+            n=n,
+            coeff_bound=coeff_bound,
+            offset_bound=offset,
+            max_k=n + 1,
+            canonical_first_plane=canonical,
+        )
+        assert min_cover_search(cfg) == reference_search(cfg), (n, coeff_bound, offset)
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset, max_k", [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)])
+def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_k):
+    cfg = SearchConfig(n=n, coeff_bound=coeff_bound, offset_bound=offset, max_k=max_k)
+    assert min_cover_search(cfg) == reference_search(cfg)
+
+
+def test_golden_n5_found_cover():
+    # recorded from the search with one call per child
+    record = json.loads((GOLDEN / "search_n5_b2_off5_k4.json").read_text())
+    cfg = record["config"]
+    out = min_cover_search(
+        SearchConfig(
+            n=cfg["n"],
+            coeff_bound=cfg["coeff_bound"],
+            offset_bound=cfg["offset_bound"],
+            max_k=cfg["max_k"],
+        )
+    )
+    assert out.status.value == record["status"]
+    assert out.nodes_explored == record["nodes_explored"]
+    assert out.candidate_pool_size == record["candidate_pool_size"]
+    family = [{"a": [int(c) for c in p.a], "b": int(p.b)} for p in out.family]
+    assert family == record["family"]
+
+
+def test_time_budget_zero_times_out():
+    # 16,611,067 nodes without a budget; cut children are counted in bulk,
+    # so the clock must be read on a threshold, not on multiples of 256
+    out = min_cover_search(SearchConfig(6, 2, 6, 5, time_budget=0))
+    assert out.status is SearchStatus.TIMEOUT
+    assert out.family is None
+    assert 0 < out.nodes_explored < 16_611_067
+
+
+def test_clock_read_about_every_256_nodes(monkeypatch):
+    import time
+
+    real = time.monotonic
+    reads = []
+    monkeypatch.setattr(time, "monotonic", lambda: reads.append(None) or real())
+    out = min_cover_search(SearchConfig(5, 2, 5, 4, time_budget=float("inf")))
+    assert out.nodes_explored == 1_036_356
+    # reads on multiples of 256 alone would see 27 of them here
+    assert len(reads) >= out.nodes_explored // 1024
+
+
+@pytest.mark.parametrize("budget", [-1, -1e-9, float("nan"), float("-inf")])
+def test_time_budget_negative_or_nan_is_usage_error(budget):
+    with pytest.raises(UsageError, match="--time-budget"):
+        SearchConfig(3, time_budget=budget)
+
+
+def test_time_budget_infinite_is_no_limit():
+    cfg = SearchConfig(n=4, coeff_bound=1, max_k=4)
+    unlimited = SearchConfig(n=4, coeff_bound=1, max_k=4, time_budget=float("inf"))
+    assert min_cover_search(unlimited) == min_cover_search(cfg)
