@@ -33,7 +33,7 @@ from .cube import CoverFamily, CoverReport, Hyperplane, verify_cover
 from .errors import DegreeTooHigh, DimensionMismatch, ParseError, SkewcubeError, UsageError
 from .fourier import MultilinearPoly, degree
 from .interpolation import build_scheme, check_recovery_size, recover_coefficient
-from .kernel import build_system, kernel_dim
+from .kernel import check_system, kernel_nullity
 from .search import SearchConfig, SearchStatus, min_cover_search
 from .subsets import mask_of
 
@@ -223,11 +223,9 @@ def cmd_interp(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if len(args.a) != args.n:
-        raise UsageError(f"kernel: expected {args.n} coefficients, got {len(args.a)}")
-    coeffs = [_parse_rational(tok) for tok in args.a]
-    system = build_system(coeffs, args.d)
-    nullity = kernel_dim(system)
+    coeffs = check_system(args.n, args.d, [_parse_rational(tok) for tok in args.a])
+    # The nullity has a closed form, so the C(n, d+1) rows are never built.
+    nullity = kernel_nullity(args.n, args.d)
     applicable = args.n >= 2 * args.d + 1
     holds = nullity == 0 if applicable else None
     _emit(

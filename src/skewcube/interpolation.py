@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .cube import CubePoint, exact
 from .errors import (
     BadModulus,
@@ -57,17 +55,13 @@ from .errors import (
     OddModulus,
     SignConflict,
     SkewcubeError,
-    SystemTooLarge,
 )
 from .fourier import ValueTable
-from .linalg import exact_nullity, modp_rank
-from .subsets import mask_of, subsets_colex
+from .linalg import exact_nullity
+from .subsets import mask_of
 
 # Largest recovery check_recovery_size admits: atoms * (n + k) cells.
 MAX_RECOVERY_CELLS = 1 << 20
-_VANISHING_N_CAP = 20
-# Largest Gram matrix vanishing_dimension builds: 8192^2 int64 cells, 512 MiB.
-_MAX_GRAM_SIDE = 8192
 
 
 @dataclass(frozen=True)
@@ -313,55 +307,70 @@ def _krawtchouk(n: int, k: int, u: int) -> int:
     return sum((-1) ** j * math.comb(u, j) * math.comb(n - u, k - j) for j in range(k + 1))
 
 
-def _gram(n: int, index_levels: range, summed_levels: range) -> np.ndarray:
-    """Gram matrix of the +-1 character table between two families of subsets.
-
-    Rows and columns are the subsets of {1..n} whose sizes lie in
-    ``index_levels`` (sizes ascending, colex within each size); the entry at
-    (a, b) is the sum over subsets x with |x| in ``summed_levels`` of
-    (-1)^(|x & a| + |x & b|) = (-1)^|x & (a ^ b)|, which depends only on
-    |a ^ b|: it is the sum of the Krawtchouk values K_l(|a ^ b|).
-    """
-    masks = np.array(
-        [mask_of(s) for k in index_levels for s in subsets_colex(n, k)], dtype=np.uint32
-    )
-    by_distance = np.array(
-        [sum(_krawtchouk(n, l, u) for l in summed_levels) for u in range(n + 1)],
-        dtype=np.int64,
-    )
-    return by_distance[np.bitwise_count(masks[:, None] ^ masks[None, :])]
-
-
 def vanishing_dimension(n: int, m: int, d: int) -> int:
     """Dimension of the degree <= d multilinear maps vanishing on all of W(m).
 
-    This is the nullity over Q of the +-1 evaluation matrix E, rows indexed
-    by the points of W(m) and columns by the subsets of size <= d. Over Q,
-    E^T E (indexed by the subsets) and E E^T (indexed by the points) both
-    have the rank of E, and their entries depend only on the popcount of
-    a xor b, so the smaller of the two is built directly from Krawtchouk
-    sums and E itself never is. A mod-p pass that pivots every column of
-    that square matrix proves full rank over Q, the same certificate as on
-    E; anything less is recomputed on the same matrix with fraction-free
-    integer elimination.
+    This is the nullity over Q of the evaluation map E, which sends a map of
+    degree <= d to its values on the points of W(m). Symmetry reduces it to
+    a few small integer matrices, and no matrix indexed by subsets or points
+    is ever built:
+
+        vanishing_dimension = sum over k = 0 .. min(d, n // 2) of
+            (C(n, k) - C(n, k - 1)) * (rows_k - rank C_k),
+
+    where C_k has rows j = k .. min(d, n - k), columns w in {0, m, 2m, ...}
+    with k <= w <= n - k, and entry K_{j-k}(w - k; n - 2k), the Krawtchouk
+    value ``_krawtchouk(n - 2k, j - k, w - k)``. ``exact_nullity`` gives
+    each rank exactly.
+
+    Proof. Let M^j be the permutation module of S_n on the j-subsets of
+    {1..n}. The monomials of degree j span a copy of M^j, and the functions
+    on the level of weight w form another, so E is an S_n-equivariant map
+    from the sum of M^j over j <= d to the sum of M^w over w in W(m)'s
+    levels. By Young's rule M^j holds the irreducible S^(n-k,k), of
+    dimension C(n, k) - C(n, k - 1), once for each k <= min(j, n - j), and
+    its parts below k are the image of M^(k-1). By Schur's lemma E acts on
+    the isotypic part of type (n-k, k) as C ⊗ id for some matrix C between
+    the multiplicity spaces. The domain holds rows_k copies of S^(n-k,k),
+    one per degree j in k .. min(d, n - k), so the nullity of E there is
+    dim S^(n-k,k) * (rows_k - rank C), and E's nullity is the sum over k.
+
+    C is read off from one vector per copy. Pair the coordinates
+    (1, 2), (3, 4), ..., (2k-1, 2k) and call a vector of M^j or M^w
+    k-typed when swapping a pair negates it and permuting the other n - 2k
+    coordinates fixes it. A k-typed vector vanishes on every subset that
+    holds both or neither of some pair, so the k-typed vectors of M^j form
+    a line when k <= j <= n - k, and none exist otherwise. The line is
+    spanned by
+
+        f_{k,j} = prod over i <= k of (x_{2i-1} - x_{2i}) * e_{j-k}(x_{2k+1}, ..., x_n).
+
+    f_{k,j} is orthogonal to the image of M^(k-1): a (k-1)-set misses some
+    pair, swapping that pair permutes its supersets and negates f_{k,j},
+    so the coefficients of f_{k,j} on them sum to zero. Hence f_{k,j} lies
+    in the part of type (n-k, k), and as the k-typed vectors of M^j are one
+    line, the other parts hold none: each copy of S^(n-k,k) holds exactly
+    one k-typed line. The same holds on each level M^w, whose k-typed line
+    is spanned by the vector h_w equal to 1 at the point p_w whose pairs are
+    (+1, -1) and whose w - k other -1s are the last coordinates. E maps
+    k-typed vectors to k-typed vectors, so E f_{k,j} is the sum over w of
+    its value at p_w times h_w. That value is 2^k * K_{j-k}(w - k; n - 2k):
+    each pair factor is 2, and e_{j-k} of n - 2k signs with w - k minus signs
+    is the Krawtchouk value. So C = 2^k * C_k, of the same rank.
+
+    Cost: sum over k of rows_k * cols_k Krawtchouk values, and one
+    fraction-free elimination per block of at most d + 1 rows.
     """
     if m < 2 or m % 2:
         raise BadModulus(f"modulus must be even and >= 2, got {m}")
-    if n > _VANISHING_N_CAP:
-        raise DimensionTooLarge(f"n={n} exceeds the vanishing-dimension cap {_VANISHING_N_CAP}")
     if not 0 <= d <= n:
         raise DegreeOutOfRange(f"need 0 <= d <= n, got d={d}")
-    col_levels = range(d + 1)
-    row_levels = range(0, n + 1, m)
-    ncols = sum(math.comb(n, k) for k in col_levels)
-    nrows = sum(math.comb(n, w) for w in row_levels)
-    if ncols <= nrows:
-        side, levels = ncols, (col_levels, row_levels)
-    else:
-        side, levels = nrows, (row_levels, col_levels)
-    if side > _MAX_GRAM_SIDE:
-        raise SystemTooLarge(f"Gram side {side} exceeds the cap {_MAX_GRAM_SIDE}")
-    rank, certified = modp_rank([_gram(n, *levels)], side)
-    if not certified:
-        rank = side - exact_nullity(_gram(n, *levels).tolist(), side)
-    return ncols - rank
+    total = 0
+    for k in range(min(d, n // 2) + 1):
+        degrees = range(k, min(d, n - k) + 1)
+        levels = range(k + (-k) % m, n - k + 1, m)
+        # C_k transposed: exact_nullity returns rows_k - rank C_k.
+        block = [[_krawtchouk(n - 2 * k, j - k, w - k) for j in degrees] for w in levels]
+        copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        total += copies * exact_nullity(block, len(degrees))
+    return total

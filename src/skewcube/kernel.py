@@ -66,14 +66,31 @@ class KernelSystem:
         )
 
 
-def build_system(a: Sequence, d: int) -> KernelSystem:
-    """Assemble the sparse system for coefficients ``a`` and degree ``d``."""
+def check_system(n: int, d: int, a: Sequence) -> tuple[Fraction, ...]:
+    """The coefficients as exact rationals, once n of them, all nonzero, and 0 <= d < n."""
+    if len(a) != n:
+        raise UsageError(f"expected {n} coefficients, got {len(a)}")
     coeffs = tuple(exact(v) for v in a)
-    n = len(coeffs)
     if any(c == 0 for c in coeffs):
         raise ZeroCoefficient("all coefficients must be nonzero")
     if not 0 <= d < n:
         raise DegreeOutOfRange(f"need 0 <= d < n, got d={d}, n={n}")
+    return coeffs
+
+
+def kernel_nullity(n: int, d: int) -> int:
+    """Nullity of the system for any n nonzero coefficients: max(0, C(n,d) - C(n,d+1)).
+
+    Exact by the factorization through the inclusion matrix and its full
+    rank (see the module docstring); no system is built.
+    """
+    return max(0, math.comb(n, d) - math.comb(n, d + 1))
+
+
+def build_system(a: Sequence, d: int) -> KernelSystem:
+    """Assemble the sparse system for coefficients ``a`` and degree ``d``."""
+    n = len(a)
+    coeffs = check_system(n, d, a)
     if math.comb(n, d + 1) > _MAX_ROWS:
         raise SystemTooLarge(f"{math.comb(n, d + 1)} rows exceed the cap {_MAX_ROWS}")
     subs = []
@@ -89,13 +106,12 @@ def build_system(a: Sequence, d: int) -> KernelSystem:
 
 
 def kernel_dim(system: KernelSystem) -> int:
-    """Nullity of the system over the rationals: max(0, C(n,d) - C(n,d+1)).
+    """Nullity of the system over the rationals, ``kernel_nullity(n, d)``.
 
-    Exact by the factorization through the inclusion matrix and its full
-    rank (see the module docstring); it does not depend on the coefficients,
-    which ``build_system`` has already checked to be nonzero.
+    It does not depend on the coefficients, which ``build_system`` has
+    already checked to be nonzero.
     """
-    return max(0, system.num_cols - system.num_rows)
+    return kernel_nullity(system.n, system.d)
 
 
 def base_case_det(a1, a2, a3) -> Fraction:

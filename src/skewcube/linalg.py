@@ -1,76 +1,18 @@
-"""Exact rank and nullity over the rationals, with a prime-field fast path.
+"""Exact nullity over the rationals by fraction-free integer elimination.
 
-A mod-p elimination that pivots every column, or every row, is already an
-exact certificate over Q: the pivot minor is nonzero mod p, hence nonzero
-over Z, and min(rows, cols) bounds the rank from above. Those answers are
-proofs, not probabilistic claims. Whenever the mod-p pass certifies nothing,
-callers recompute with fraction-free integer elimination, which is exact for
-any input.
-
-The only caller of the mod-p pass is ``interpolation.vanishing_dimension``,
-which hands it a square Gram matrix; the kernel system's nullity has a
-closed form and needs no elimination at all.
+The module holds only ``exact_nullity``. Its one caller in the package is
+``interpolation.vanishing_dimension``, whose blocks have at most d + 1
+columns each; the kernel system's nullity has a closed form and needs no
+elimination at all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .errors import UsageError
-
-PRIME = (1 << 31) - 1
-
-
-def _echelon_modp(m: np.ndarray, p: int) -> np.ndarray:
-    """Row echelon mod p in place; returns the nonzero (pivot) rows.
-
-    Entries stay in [0, p); with p < 2^31 every product fits int64.
-    """
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        below = m[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            m[idx, c:] = (m[idx, c:] - np.outer(below[nzb], m[r, c:])) % p
-        r += 1
-    return m[:r]
-
-
-def modp_rank(blocks: Iterable[np.ndarray], ncols: int, p: int = PRIME) -> tuple[int, bool]:
-    """Streaming rank mod p over row blocks; returns (rank, certified).
-
-    ``certified`` means the mod-p rank provably equals the rank over Q:
-    either every column got a pivot (early exit) or every row did. In both
-    cases rank_p <= rank_Q <= min(rows, cols) = rank_p forces equality. An
-    uncertified rank is only a lower bound on the rational rank.
-    """
-    echelon = np.zeros((0, ncols), dtype=np.int64)
-    nrows = 0
-    for block in blocks:
-        b = np.asarray(block, dtype=np.int64) % p
-        nrows += b.shape[0]
-        echelon = _echelon_modp(np.vstack([echelon, b]) if echelon.shape[0] else b, p)
-        if echelon.shape[0] == ncols:
-            return ncols, True
-    rank = echelon.shape[0]
-    return rank, rank == nrows
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -122,9 +64,3 @@ def exact_nullity(rows: Iterable[Sequence], ncols: int) -> int:
         if rank == ncols:
             break
     return ncols - rank
-
-
-def block_rows(rows: Sequence[Sequence[int]], block: int = 2048) -> Iterator[np.ndarray]:
-    """Batch dense integer rows into int64 blocks for the mod-p pass."""
-    for i in range(0, len(rows), block):
-        yield np.asarray(rows[i : i + block], dtype=np.int64)

@@ -183,6 +183,21 @@ def test_kernel_rational_coefficients(capsys):
     assert json.loads(out)["nullity"] == 0
 
 
+@pytest.mark.parametrize(
+    "n, d, nullity",
+    [
+        # C(30, 11) = 54,627,300 rows: refused before the nullity had a closed form
+        (30, 10, 0),
+        # C(24, 13) = 2,496,144 rows; the nullity is the Catalan number C(24, 12)/13
+        (24, 12, 208012),
+    ],
+)
+def test_kernel_answers_without_building_the_system(n, d, nullity, capsys):
+    code, out, err = run(["kernel", str(n), str(d), *["1"] * n], capsys=capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["nullity"] == nullity
+
+
 def test_search_finds_n5_record(capsys):
     code, out, _ = run(
         ["search", "--n", "5", "-B", "2", "--offset-bound", "0", "--max-k", "4"],

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,17 +243,11 @@ def test_recover_property_random(d, half_m, data):
     assert got == poly.coeffs.get(mask_of(S), (Fraction(0),))
 
 
-def test_vanishing_dimension_matches_evaluation_matrix_grid(monkeypatch):
+def test_vanishing_dimension_matches_evaluation_matrix_grid():
     # brute force on E itself, over tall, square and wide shapes, including
-    # rank-deficient ones where the mod-p pass certifies nothing
-    from skewcube import interpolation
+    # rank-deficient ones
     from skewcube.linalg import exact_nullity
 
-    fallbacks = []
-    real = interpolation.exact_nullity
-    monkeypatch.setattr(
-        interpolation, "exact_nullity", lambda rows, ncols: fallbacks.append(ncols) or real(rows, ncols)
-    )
     shapes = set()
     deficient = 0
     for n in range(1, 8):
@@ -269,20 +265,45 @@ def test_vanishing_dimension_matches_evaluation_matrix_grid(monkeypatch):
                 shapes.add((len(rows) > len(cols)) - (len(rows) < len(cols)))
                 deficient += len(cols) - want < min(len(rows), len(cols))
     assert shapes == {-1, 0, 1}
-    assert deficient > 0 and len(fallbacks) == deficient
+    assert deficient > 0
 
 
-def test_vanishing_dimension_refuses_large_gram(monkeypatch):
-    from skewcube import interpolation
-    from skewcube.errors import SystemTooLarge
+def test_vanishing_dimension_zero_in_the_feasible_range():
+    # n >= d*m + m/2: the recovery scheme exists, so no nonzero map vanishes.
+    # (16, 2, 7) has a Gram side of 26,333 subsets against 2^15 points.
+    assert vanishing_dimension(16, 2, 7) == 0
+    assert vanishing_dimension(40, 4, 9) == 0
+    assert vanishing_dimension(200, 4, 49) == 0
 
-    def no_build(*args):
-        raise AssertionError("Gram matrix built before the size check")
 
-    monkeypatch.setattr(interpolation, "_gram", no_build)
-    # C(16, <=7) = 26,333 subsets against 2^15 points: a 5.5 GB Gram side
-    with pytest.raises(SystemTooLarge):
-        vanishing_dimension(16, 2, 7)
+@pytest.mark.parametrize("n, m", [(30, 4), (30, 2), (40, 8)])
+def test_vanishing_dimension_full_degree_closed_form(n, m):
+    # at d = n every function on the cube is a multilinear map, so the maps
+    # vanishing on W(m) are exactly the functions supported off it
+    outside = 2**n - sum(math.comb(n, w) for w in range(0, n + 1, m))
+    assert vanishing_dimension(n, m, n) == outside
+
+
+def test_vanishing_dimension_matches_gram_oracle():
+    from gram_oracle import gram_vanishing_dimension
+
+    for n in range(1, 10):
+        for m in (2, 4, 6, 8):
+            for d in range(n + 1):
+                assert vanishing_dimension(n, m, d) == gram_vanishing_dimension(n, m, d), (n, m, d)
+
+
+def test_feasibility_edge_prints_golden(capsys):
+    # the golden was printed by the Gram-matrix implementation
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "feasibility_edge", root / "scripts" / "feasibility_edge.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    golden = (root / "tests" / "golden" / "feasibility_edge.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def _fraction_sum_oracle(scheme, f):
