@@ -7,8 +7,9 @@ as a rational number, never approximately.
 
 Exhaustive enumeration over all 2^n points is capped at n <= 24 and runs
 chunk by chunk over aligned mask ranges. One vectorized evaluator builds
-each plane's subset sums over a chunk's low bits by doubling and compares
-them with a single per-chunk target. Its arrays are int64 when the scaled
+the subset sums of blocks of planes (at most 2^chunk_bits cells) over a
+chunk's low bits by doubling and compares each plane's with its per-chunk
+target. Its arrays are int64 when the scaled
 integer values fit comfortably and Python ints otherwise, so no input
 changes the exactness of the answer.
 """
@@ -176,42 +177,51 @@ def _int64_safe(planes_int) -> bool:
     )
 
 
-def _chunk_zero_offsets(planes_int, n: int, lo: int, hi: int):
+def _plane_arrays(planes_int, n: int):
+    """Coefficient rows and offsets, int64 if _int64_safe allows, else object."""
+    dtype = np.int64 if _int64_safe(planes_int) else object
+    a = np.array([p[0] for p in planes_int], dtype=dtype).reshape(len(planes_int), n)
+    return a, np.array([p[1] for p in planes_int], dtype=dtype)
+
+
+def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS):
     """Per plane, offsets within the aligned chunk [lo, hi) where a.x + b = 0.
 
     a.x + b = (b + sum a) - 2*s(mask), where s sums the a_j whose bit is set,
     so the plane vanishes at lo + i iff s(i) == (b + sum a)/2 - s(lo); if that
     target is odd it meets no point. The low-bit subset sums s(i) are built
-    by doubling, as int64 when _int64_safe allows it and as Python ints
-    (object dtype) otherwise. Only a_int and b_int matter: the vanishing set
-    is unchanged by the integer scaling.
+    by doubling in blocks of at most 1 << chunk_bits cells (planes x points),
+    in the dtype of a and b. Returns (counts, offsets): plane i's counts[i]
+    ascending offsets follow those of the planes before it.
     """
     width = hi - lo
     low_bits = width.bit_length() - 1
-    dtype = np.int64 if _int64_safe(planes_int) else object
-    out = []
-    for a, b, _ in planes_int:
-        high = sum(a[j] for j in range(low_bits, n) if (lo >> j) & 1)
-        twice_target = b + sum(a) - 2 * high
-        if twice_target % 2:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        sums = np.zeros(width, dtype=dtype)
-        for j, c in enumerate(a[:low_bits]):
-            sums[1 << j : 2 << j] = sums[: 1 << j] + c
-        out.append(np.flatnonzero(sums == twice_target // 2))
-    return out
+    high = np.array([j >= low_bits and (lo >> j) & 1 for j in range(n)], dtype=bool)
+    twice_target = b + a.sum(axis=1) - 2 * a[:, high].sum(axis=1)
+    even = np.flatnonzero(twice_target % 2 == 0)
+    step = max(1, (1 << chunk_bits) // width)
+    counts = np.zeros(len(b), dtype=np.intp)
+    offsets = [np.empty(0, dtype=np.intp)]
+    buf = np.zeros((min(step, even.size), width), dtype=a.dtype)
+    for start in range(0, even.size, step):
+        block = even[start : start + step]
+        coeffs = a[block]
+        sums = buf[: block.size]
+        for j in range(low_bits):
+            np.add(sums[:, : 1 << j], coeffs[:, j, None], out=sums[:, 1 << j : 2 << j])
+        flat = np.flatnonzero(sums == (twice_target[block] // 2)[:, None])
+        counts[block] = np.diff(np.searchsorted(flat, np.arange(block.size + 1) * width))
+        offsets.append(flat & (width - 1))
+    return counts, np.concatenate(offsets)
 
 
 def _verify_chunk_job(args):
-    planes_int, n, lo, hi = args
+    a, b, n, lo, hi, chunk_bits = args
+    counts, offsets = _chunk_zero_offsets(a, b, n, lo, hi, chunk_bits)
     covered = np.zeros(hi - lo, dtype=bool)
-    counts = []
-    for idx in _chunk_zero_offsets(planes_int, n, lo, hi):
-        counts.append(int(idx.size))
-        covered[idx] = True
+    covered[offsets] = True
     unc = np.nonzero(~covered)[0]
-    return counts, int(unc.size), [int(lo + i) for i in unc[:_SAMPLE_CAP]]
+    return counts.tolist(), int(unc.size), [int(lo + i) for i in unc[:_SAMPLE_CAP]]
 
 
 def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
@@ -220,11 +230,11 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     if nn != plane.n:
         raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
     _check_exhaustive(nn)
-    pinfo = [_integerized(plane)]
+    a, b = _plane_arrays([_integerized(plane)], nn)
     points: set[CubePoint] = set()
     for lo, hi in _chunk_ranges(nn, _CHUNK_BITS):
-        z = _chunk_zero_offsets(pinfo, nn, lo, hi)[0]
-        points.update(CubePoint(lo + int(i), nn) for i in z)
+        _, offsets = _chunk_zero_offsets(a, b, nn, lo, hi)
+        points.update(CubePoint(lo + int(i), nn) for i in offsets)
     return points
 
 
@@ -240,8 +250,8 @@ def verify_cover(
     """
     n = family.n
     _check_exhaustive(n)
-    planes_int = [_integerized(p) for p in family.planes]
-    jobs = [(planes_int, n, lo, hi) for lo, hi in _chunk_ranges(n, chunk_bits)]
+    a, b = _plane_arrays([_integerized(p) for p in family.planes], n)
+    jobs = [(a, b, n, lo, hi, chunk_bits) for lo, hi in _chunk_ranges(n, chunk_bits)]
     pool_size = min(workers, len(jobs), os.cpu_count() or 1)
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
@@ -249,7 +259,7 @@ def verify_cover(
     else:
         parts = [_verify_chunk_job(job) for job in jobs]
 
-    counts = [0] * len(planes_int)
+    counts = [0] * len(b)
     num_uncovered = 0
     sample: list[int] = []
     for chunk_counts, unc, chunk_sample in parts:

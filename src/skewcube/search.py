@@ -2,7 +2,8 @@
 
 The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
-and actually do somewhere, and orders them canonically. The cover search is
+and do somewhere by one capped pass of the cube evaluator, which also gives
+the search its bitsets, and orders them canonically. The cover search is
 depth-first branch and bound with iterative deepening on the family size,
 starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
 that is vacuous by the bound, and the search reports it as exhausted without
@@ -21,7 +22,6 @@ unconditional nonexistence statements.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,15 +32,14 @@ from . import cube
 from .cube import CoverFamily, Hyperplane, verify_cover
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     PoolInsufficient,
     PoolTooLarge,
     SkewcubeError,
     UsageError,
 )
 
-_POOL_CAP = 10_000_000
-_POOL_BLOCK = 65536
+# Cap on the pool's one evaluation, in raw planes times 2^n points.
+_POOL_CELLS = 1 << 28
 # Nodes between reads of the clock when a time budget is set.
 _CHECK_EVERY = 256
 
@@ -103,74 +102,64 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     (a plane and its negation are the same set), contents divided by their
     gcd, and the parity filter applied: a.x has the parity of sum(a), so
     b must match it mod 2 for the form to vanish anywhere. Output is sorted
-    by colex on (a_1..a_n, b).
+    by colex on (a_1..a_n, b). Raises ``PoolTooLarge``, before enumerating,
+    when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28.
     """
+    return [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset_bound)[0]]
+
+
+def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
+    """The pool's integer rows (a, b) in colex order and their bitsets: the raw
+    grid, numbered with b fastest, then a_1..a_n, is decoded, masked by parity
+    and gcd and evaluated in slices of at most 2^_CHUNK_BITS cells."""
     if n < 1:
         raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
         raise UsageError("bounds out of range")
-    if n > 24:
-        raise DimensionTooLarge(f"n={n} > 24")
-    estimate = (2 * coeff_bound) ** n * (2 * offset_bound + 1)
-    if estimate > _POOL_CAP:
-        raise PoolTooLarge(f"pool estimate {estimate} exceeds {_POOL_CAP}")
-
-    values = [v for v in range(-coeff_bound, coeff_bound + 1) if v]
-    positives = [v for v in values if v > 0]
-    raw: list[tuple[tuple[int, ...], int]] = []
-    for first in positives:
-        for tail in itertools.product(values, repeat=n - 1):
-            a = (first, *tail)
-            parity = sum(a) & 1
-            for b in range(-offset_bound, offset_bound + 1):
-                if (b & 1) != parity:
-                    continue
-                g = math.gcd(*(abs(x) for x in a), abs(b))
-                if g > 1:
-                    continue
-                raw.append((a, b))
-
-    keep = _filter_covering(raw, n)
-    keep.sort(key=lambda ab: (tuple(reversed(ab[0])), ab[1]))
-    return [Hyperplane(a, b) for a, b in keep]
+    cube._check_exhaustive(n)
+    cells = (2 * coeff_bound) ** n * (2 * offset_bound + 1) << n
+    if cells > _POOL_CELLS:
+        raise PoolTooLarge(f"pool table of {cells} cells (planes x 2^n) exceeds {_POOL_CELLS}")
+    # |a.x| <= n*B, so a larger |b| meets no point; the cap keeps all in int64.
+    offset_bound = min(offset_bound, n * coeff_bound)
+    shape = (2 * coeff_bound,) * (n - 1) + (coeff_bound, 2 * offset_bound + 1)
+    total, step = math.prod(shape), max(1, (1 << cube._CHUNK_BITS) >> n)
+    rows, cov = [], []
+    for start in range(0, total, step):
+        *tail, first, b = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        # Digit d of a_2..a_n stands for the d-th of -B..-1, 1..B.
+        cols = [first + 1] + [d - coeff_bound + (d >= coeff_bound) for d in reversed(tail)]
+        b = b - offset_bound
+        keep = ((sum(cols) + b) % 2 == 0) & (np.gcd.reduce([*cols, b]) == 1)
+        a, b = np.stack(cols, axis=1)[keep], b[keep]
+        packed = _bitsets(a, b, n)
+        hits = packed.any(axis=1)
+        rows += zip(map(tuple, a[hits].tolist()), b[hits].tolist())
+        cov += (int.from_bytes(row.tobytes(), "little") for row in packed[hits])
+    return rows, cov
 
 
-def _filter_covering(raw, n):
-    """Drop planes whose zero set on the cube is empty (vectorized)."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    signs = 1 - 2 * ((masks[:, None] >> np.arange(n)[None, :]) & 1)
-    keep = []
-    for i in range(0, len(raw), _POOL_BLOCK):
-        block = raw[i : i + _POOL_BLOCK]
-        A = np.asarray([a for a, _ in block], dtype=np.int64)
-        b = np.asarray([b for _, b in block], dtype=np.int64)
-        hits = (signs @ A.T == -b[None, :]).any(axis=0)
-        keep.extend(block[j] for j in range(len(block)) if hits[j])
-    return keep
+def _bitsets(a, b, n: int):
+    """Per integer plane row, its covered masks packed little-endian."""
+    hit = np.zeros((len(b), 1 << n), dtype=bool)
+    for lo, hi in cube._chunk_ranges(n, cube._CHUNK_BITS):
+        counts, offsets = cube._chunk_zero_offsets(a, b, n, lo, hi)
+        hit[:, lo:hi][np.repeat(np.arange(len(b)), counts), offsets] = True
+    return np.packbits(hit, axis=1, bitorder="little")
 
 
 def _covered_bitsets(pool: list[Hyperplane], n: int) -> list[int]:
-    """Per plane, the int whose bit m is set iff the plane covers mask m.
-
-    One ``_chunk_zero_offsets`` pass per chunk over the whole pool fills a
-    (planes, 2^n) bool table, which is packed little-endian into the ints.
-    """
+    """Per plane, the int whose bit m is set iff the plane covers mask m."""
     cube._check_exhaustive(n)
-    planes_int = [cube._integerized(p) for p in pool]
-    hit = np.zeros((len(pool), 1 << n), dtype=bool)
-    for lo, hi in cube._chunk_ranges(n, cube._CHUNK_BITS):
-        for row, idx in zip(hit, cube._chunk_zero_offsets(planes_int, n, lo, hi)):
-            row[lo + idx] = True
-    packed = np.packbits(hit, axis=1, bitorder="little")
+    packed = _bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _canonical_root(plane: Hyperplane) -> bool:
+def _canonical_root(a, b) -> bool:
     # Representative of the orbit under coordinate permutations and sign
     # flips (plus plane negation): coefficients positive and ascending,
     # offset nonnegative.
-    a = plane.a
-    return all(c > 0 for c in a) and all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and plane.b >= 0
+    return all(c > 0 for c in a) and all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and b >= 0
 
 
 def min_cover_search(config: SearchConfig) -> SearchOutcome:
@@ -212,7 +201,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     """
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
-    pool = candidate_pool(n, config.coeff_bound, offset)
+    pool, cov = _pool_rows(n, config.coeff_bound, offset)
     pool_size = len(pool)
 
     k_lo = lower_bound(n)
@@ -220,7 +209,6 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         # Vacuous by the lower bound: nothing of this size can exist.
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, 0, pool_size)
 
-    cov = _covered_bitsets(pool, n)
     counts = [c.bit_count() for c in cov]
     max_cov = max(counts, default=0)
     width = 1 << n
@@ -238,7 +226,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         for i in planes:
             nbr[v] |= cov[i]
     roots = (
-        [i for i, p in enumerate(pool) if _canonical_root(p)]
+        [i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)]
         if config.canonical_first_plane
         else None
     )
@@ -298,7 +286,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     for k in range(k_lo, config.max_k + 1):
         nodes += 1
         if width <= k * max_cov and packs(full, k) and expand(full, k):
-            family = CoverFamily(tuple(pool[i] for i in chosen))
+            family = CoverFamily(tuple(Hyperplane(*pool[i]) for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")
             return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, pool_size)

@@ -382,6 +382,23 @@ def test_construct_above_the_cap_exits_3(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^16 raw planes x 2^16 points is over the 2^28-cell pool cap
+        ["search", "--n", "16", "-B", "1", "--offset-bound", "0"],
+        ["search", "--n", "7", "-B", "3"],
+        ["search", "--n", "25"],
+        ["search", "--n", str(10**30)],
+    ],
+)
+def test_search_above_the_cap_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_construct_levels_zero_is_one_line_usage_error(capsys):
     code, out, err = run(["construct", "levels", "0"], capsys=capsys)
     assert code == 2

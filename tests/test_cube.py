@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,6 +298,35 @@ def test_object_branch_across_chunks_matches_bruteforce(family, data):
     report = verify_cover(big, chunk_bits=2)
     assert report == brute_report(big)
     assert report == verify_cover(family, chunk_bits=2)
+
+
+@st.composite
+def block_families(draw):
+    n = draw(st.integers(1, 6))
+    planes = [
+        Hyperplane(tuple(draw(nonzero_coeff) for _ in range(n)), draw(st.integers(-n, n)))
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    return CoverFamily(tuple(planes)), draw(st.integers(n + 1, n + 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_families(), st.integers(1 << 63, 1 << 90))
+def test_plane_blocks_match_bruteforce(family_bits, scale):
+    # chunk_bits above n puts 2 to 8 planes in one block of the single
+    # chunk, so block boundaries fall inside the family; the scaled copy
+    # keeps every zero set and takes the object dtype
+    family, chunk_bits = family_bits
+    n = family.n
+    want_pairs = [(i, m) for i, p in enumerate(family) for m in sorted(brute_covered(p, n))]
+    want = brute_report(family)
+    for fam, dtype in ((family, np.int64), (scaled(family, [scale] * len(family)), object)):
+        a, b = cube._plane_arrays([cube._integerized(p) for p in fam], n)
+        assert a.dtype == dtype
+        counts, offsets = cube._chunk_zero_offsets(a, b, n, 0, 1 << n, chunk_bits)
+        planes = np.repeat(np.arange(len(fam)), counts)
+        assert list(zip(planes.tolist(), offsets.tolist())) == want_pairs
+        assert verify_cover(fam, chunk_bits=chunk_bits) == want
 
 
 def test_reports_identical_across_workers_and_chunks():

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from skewcube import cube
 from skewcube.constructions import level_set_cover, power_of_two_cover
 from skewcube.cube import CoverFamily, Hyperplane, covered_set, is_skew, verify_cover
-from skewcube.errors import PoolInsufficient, PoolTooLarge, UsageError
+from skewcube.errors import DimensionTooLarge, PoolInsufficient, PoolTooLarge, UsageError
 from skewcube.search import (
     SearchConfig,
     SearchOutcome,
     SearchStatus,
     _canonical_root,
     _covered_bitsets,
+    _pool_rows,
     candidate_pool,
     greedy_cover,
     lower_bound,
@@ -50,8 +54,6 @@ def test_candidate_pool_parity_filter():
 
 
 def test_candidate_pool_all_skew_and_primitive():
-    import math
-
     pool = candidate_pool(3, 2, 2)
     assert all(is_skew(p) for p in pool)
     for p in pool:
@@ -70,6 +72,96 @@ def test_candidate_pool_every_plane_covers_something():
 def test_candidate_pool_cap():
     with pytest.raises(PoolTooLarge):
         candidate_pool(20, 3, 20)
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset", [(16, 1, 0), (8, 2, 8), (7, 3, 7), (24, 1, 0)])
+def test_candidate_pool_refuses_a_table_over_the_cap_at_once(n, coeff_bound, offset):
+    # (16, 1, 0) is 2^16 raw planes x 2^16 points; nothing is enumerated
+    start = time.perf_counter()
+    with pytest.raises(PoolTooLarge, match="cells"):
+        candidate_pool(n, coeff_bound, offset)
+    assert time.perf_counter() - start < 1
+
+
+def test_candidate_pool_cap_counts_cells():
+    # 2 * (2 * (2^25 - 1) + 1) raw planes x 2 points is just under 2^28;
+    # offsets past n * B meet no point, so the grid stops there
+    assert len(candidate_pool(1, 1, (1 << 25) - 1)) == 2
+    with pytest.raises(PoolTooLarge):
+        candidate_pool(1, 1, 1 << 25)
+
+
+@pytest.mark.parametrize("n", [25, 10**30])
+def test_candidate_pool_checks_the_cube_size_first(n):
+    with pytest.raises(DimensionTooLarge, match="exhaustive cap"):
+        candidate_pool(n, 10**30, 10**30)
+
+
+def reference_raw(n, coeff_bound, offset_bound):
+    """The raw planes of the pool: one Python loop over the grid, parity and
+    gcd tested per plane, in product order."""
+    values = [v for v in range(-coeff_bound, coeff_bound + 1) if v]
+    positives = [v for v in values if v > 0]
+    raw = []
+    for first in positives:
+        for tail in itertools.product(values, repeat=n - 1):
+            a = (first, *tail)
+            parity = sum(a) & 1
+            for b in range(-offset_bound, offset_bound + 1):
+                if (b & 1) != parity:
+                    continue
+                if math.gcd(*(abs(x) for x in a), abs(b)) > 1:
+                    continue
+                raw.append((a, b))
+    return raw
+
+
+def reference_pool(n, coeff_bound, offset_bound):
+    """The pool as first built: the raw planes, a dense matmul over every
+    point that keeps the planes meeting one, then a colex sort."""
+    raw = reference_raw(n, coeff_bound, offset_bound)
+    masks = np.arange(1 << n, dtype=np.int64)
+    signs = 1 - 2 * ((masks[:, None] >> np.arange(n)[None, :]) & 1)
+    A = np.asarray([a for a, _ in raw], dtype=np.int64).reshape(len(raw), n)
+    b = np.asarray([b for _, b in raw], dtype=np.int64)
+    hits = (signs @ A.T == -b[None, :]).any(axis=0)
+    keep = [ab for ab, hit in zip(raw, hits) if hit]
+    keep.sort(key=lambda ab: (tuple(reversed(ab[0])), ab[1]))
+    return [Hyperplane(a, b) for a, b in keep]
+
+
+def assert_pool_matches_reference(n, coeff_bound, offset):
+    want = reference_pool(n, coeff_bound, offset)
+    assert candidate_pool(n, coeff_bound, offset) == want
+    rows, cov = _pool_rows(n, coeff_bound, offset)
+    assert rows == [(p.a, p.b) for p in want]
+    assert cov == _covered_bitsets(want, n)
+
+
+SMALL_POOLS = [
+    (n, coeff_bound, offset)
+    for n in range(1, 5)
+    for coeff_bound in range(1, 4)
+    for offset in range(coeff_bound * n + 2)
+]
+
+
+@pytest.mark.parametrize("n, coeff_bound", sorted({cfg[:2] for cfg in SMALL_POOLS}))
+def test_pool_matches_reference(n, coeff_bound):
+    for offset in range(coeff_bound * n + 2):
+        assert_pool_matches_reference(n, coeff_bound, offset)
+
+
+def test_small_pools_exercise_the_covering_filter():
+    raw = reference_raw(2, 2, 4)
+    assert (len(raw), len(candidate_pool(2, 2, 4))) == (26, 22)
+    dropping = [cfg for cfg in SMALL_POOLS if len(_pool_rows(*cfg)[0]) < len(reference_raw(*cfg))]
+    assert len(dropping) == 47
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset", [(5, 2, 5), (6, 2, 0), (6, 1, 6), (6, 2, 6)])
+def test_pool_matches_reference_benchmark_configs(n, coeff_bound, offset):
+    assert_pool_matches_reference(n, coeff_bound, offset)
 
 
 def test_vacuous_below_lower_bound():
@@ -275,7 +367,7 @@ def reference_search(config):
     for v, planes in enumerate(covering):
         for i in planes:
             nbr[v] |= cov[i]
-    roots = [i for i, p in enumerate(pool) if _canonical_root(p)] if config.canonical_first_plane else None
+    roots = [i for i, p in enumerate(pool) if _canonical_root(p.a, p.b)] if config.canonical_first_plane else None
     nodes = 0
 
     def dfs(covered, chosen, budget):
