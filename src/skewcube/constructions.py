@@ -18,8 +18,8 @@ Four families, all with every coefficient nonzero:
 
 from __future__ import annotations
 
-from .cube import MAX_EXHAUSTIVE_N, CoverFamily, Hyperplane
-from .errors import DimensionTooLarge, MTooLarge, OddDimension, UsageError
+from .cube import MAX_EXHAUSTIVE_N, CoverFamily, Hyperplane, _check_exhaustive
+from .errors import DimensionTooLarge, UsageError
 
 
 def power_of_two_cover(m: int) -> CoverFamily:
@@ -32,7 +32,7 @@ def power_of_two_cover(m: int) -> CoverFamily:
         raise UsageError(f"m must be >= 1, got {m}")
     # m is tested first so that a huge m never builds 1 << m.
     if m > MAX_EXHAUSTIVE_N or (1 << m) + m - 1 > MAX_EXHAUSTIVE_N:
-        raise MTooLarge(f"m={m} gives n = 2^m + m - 1 > {MAX_EXHAUSTIVE_N}")
+        raise DimensionTooLarge(f"m={m} gives n = 2^m + m - 1 > {MAX_EXHAUSTIVE_N}")
     unit = (1,) * ((1 << m) - 1)
     planes = []
     for pattern in range(1 << m):
@@ -51,8 +51,7 @@ def level_set_cover(n: int) -> CoverFamily:
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    if n > MAX_EXHAUSTIVE_N:
-        raise DimensionTooLarge(f"n={n} > {MAX_EXHAUSTIVE_N}")
+    _check_exhaustive(n)
     ones = (1,) * n
     return CoverFamily(tuple(Hyperplane(ones, n - 2 * k) for k in range(n + 1)))
 
@@ -64,9 +63,8 @@ def balanced_even_cover(n: int) -> CoverFamily:
     both constant points, replacing the two extreme level sets.
     """
     if n < 2 or n % 2:
-        raise OddDimension(f"n must be even and >= 2, got {n}")
-    if n > MAX_EXHAUSTIVE_N:
-        raise DimensionTooLarge(f"n={n} > {MAX_EXHAUSTIVE_N}")
+        raise UsageError(f"n must be even and >= 2, got {n}")
+    _check_exhaustive(n)
     ones = (1,) * n
     planes = [Hyperplane(ones, n - 2 * k) for k in range(1, n)]
     planes.append(Hyperplane((1,) * (n // 2) + (-1,) * (n // 2), 0))

@@ -3,12 +3,17 @@
 Each class carries the command-line exit code it maps to, so the CLI has a
 single handler that returns ``e.exit_code``:
 
-* 2, usage or parse failure: ``UsageError`` and its subclasses ``ParseError``
-  and ``OddDimension``. ``UsageError`` is also a ``ValueError``, the type the
-  library's argument checks raised before it existed.
-* 3, validation failure: every other ``SkewcubeError`` (the default).
-* 4, precondition violation: ``OddModulus``, ``DegreeTooHigh``,
-  ``BadSubsetSize``, ``BadModulus`` and ``DegreeOutOfRange``.
+* 2, usage or parse failure: ``UsageError`` and its subclass ``ParseError``.
+  ``UsageError`` is also a ``ValueError``, the type the library's argument
+  checks raised before it existed.
+* 3, validation failure: every other ``SkewcubeError`` (the default). Every
+  size cap, whether on n, on a construction, a plane pool, a linear system or
+  a recovery, raises ``DimensionTooLarge``; its message names the cap.
+* 4, precondition violation: ``BadModulus``, ``DegreeTooHigh``,
+  ``BadSubsetSize`` and ``DegreeOutOfRange``.
+
+There is one class per meaning: a condition raises the same class wherever
+it is checked.
 """
 
 from __future__ import annotations
@@ -37,28 +42,15 @@ class DimensionMismatch(SkewcubeError):
 
 
 class DimensionTooLarge(SkewcubeError):
-    """The requested dimension exceeds the exhaustive-enumeration cap."""
+    """An input exceeds a size cap."""
 
 
 class EmptyFamily(SkewcubeError):
     """A cover family must contain at least one plane."""
 
 
-class MTooLarge(DimensionTooLarge):
-    """The doubling construction would exceed the exhaustive cap."""
-
-
-class OddDimension(UsageError):
-    """An even dimension is required."""
-
-
 class BadModulus(SkewcubeError):
     """The weight modulus is out of range for this operation."""
-    exit_code = 4
-
-
-class OddModulus(SkewcubeError):
-    """The interpolation construction needs a modulus divisible by 2."""
     exit_code = 4
 
 
@@ -81,20 +73,8 @@ class MissingValue(SkewcubeError):
     """The function is undefined at a point the measure needs."""
 
 
-class SignConflict(SkewcubeError):
-    """Atom merging saw one point with both signs (must never happen)."""
-
-
 class ZeroCoefficient(SkewcubeError):
     """All coefficients must be nonzero here."""
-
-
-class SystemTooLarge(SkewcubeError):
-    """The linear system exceeds the row-count cap."""
-
-
-class PoolTooLarge(SkewcubeError):
-    """The candidate-plane pool would exceed the enumeration cap."""
 
 
 class PoolInsufficient(SkewcubeError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import MAX_EXHAUSTIVE_N, CubePoint, exact
+from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, exact
 from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from .subsets import mask_of
 
@@ -151,8 +151,7 @@ def w_set(n: int, m: int) -> list[CubePoint]:
     """Points whose count of -1 coordinates is divisible by m, mask-ascending."""
     if m < 2:
         raise BadModulus(f"modulus must be >= 2, got {m}")
-    if n > MAX_EXHAUSTIVE_N:
-        raise DimensionTooLarge(f"n={n} > {MAX_EXHAUSTIVE_N}")
+    _check_exhaustive(n)
     masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) % m == 0]
     return [CubePoint(x, n) for x in masks.tolist()]

@@ -52,8 +52,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MissingValue,
-    OddModulus,
-    SignConflict,
     SkewcubeError,
 )
 from .fourier import ValueTable
@@ -103,14 +101,14 @@ class InterpolationScheme:
     atoms: tuple[tuple[CubePoint, Fraction, int], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
         seen: set[int] = set()
-        signed: list[tuple[CubePoint, Fraction]] = []
+        weights: list[Fraction] = []
         for point, weight, sign in self.atoms:
             if point.n != self.n:
                 raise SkewcubeError("atom dimension mismatch")
             if point.bits in seen:
                 raise SkewcubeError("duplicate atom point")
+            weight = weight if type(weight) is Fraction else exact(weight)
             if weight <= 0:
                 raise SkewcubeError("atom weights must be positive")
             if sign not in (-1, 1):
@@ -118,13 +116,12 @@ class InterpolationScheme:
             if point.weight % self.m:
                 raise SkewcubeError("atom point outside W(m)")
             seen.add(point.bits)
-            weight = exact(weight)
-            signed.append((point, weight if sign > 0 else -weight))
-            total += weight
-        if total != 1:
-            raise SkewcubeError(f"atom weights sum to {total}, expected 1")
-        den = math.lcm(*(w.denominator for _, w in signed))
-        terms = tuple((point, w.numerator * (den // w.denominator)) for point, w in signed)
+            weights.append(weight)
+        den = math.lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (den // w.denominator) for w in weights]
+        if sum(nums) != den:
+            raise SkewcubeError(f"atom weights sum to {Fraction(sum(nums), den)}, expected 1")
+        terms = tuple((point, num * sign) for (point, _, sign), num in zip(self.atoms, nums))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_terms", terms)
 
@@ -132,7 +129,7 @@ class InterpolationScheme:
 def _checked_subset(n: int, m: int, d: int, subset: Iterable[int]) -> tuple[int, ...]:
     """The sorted subset, once m, d and the subset fit a layout on n coordinates."""
     if m < 2 or m % 2:
-        raise OddModulus(f"modulus must be even and >= 2, got {m}")
+        raise BadModulus(f"modulus must be even and >= 2, got {m}")
     if d < 0:
         raise BadSubsetSize(f"degree must be >= 0, got {d}")
     sub = tuple(sorted(subset))
@@ -198,31 +195,26 @@ def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> Interpolation
     """Materialize the signed measure for the coefficient at ``subset``.
 
     The scheme depends only on (n, m, d, subset), never on the function being
-    recovered, and identical inputs give identical atom tuples.
+    recovered, and identical inputs give identical atom tuples, sorted by
+    point mask. No two atoms share a point (see ``atom_count``), so each
+    (state, sign) choice is one atom; ``InterpolationScheme`` still rejects a
+    repeated point.
     """
     layout = chunk_layout(n, m, d, subset)
     chunk_masks = [mask_of(c) for c in layout.chunks]
+    # Per sign choice y: the xor of the negated chunks and the sign's product.
+    flips = [(0, 1)]
+    for mask in chunk_masks:
+        flips += [(f ^ mask, -s) for f, s in flips]
     y_scale = Fraction(1, 1 << d)
-    merged: dict[int, list] = {}
+    atoms = []
     for base, prob in _support_distribution(layout):
         weight = prob * y_scale
-        for ybits in range(1 << d):
-            point = base
-            for j in range(d):
-                if (ybits >> j) & 1:
-                    point ^= chunk_masks[j]
-            sign = -1 if ybits.bit_count() & 1 else 1
-            entry = merged.get(point)
-            if entry is None:
-                merged[point] = [weight, sign]
-            elif entry[1] != sign:
-                raise SignConflict(f"point mask 0x{point:x} merged with both signs")
-            else:
-                entry[0] += weight
-    atoms = tuple(
-        (CubePoint(bits, n), merged[bits][0], merged[bits][1]) for bits in sorted(merged)
+        atoms += ((base ^ f, weight, s) for f, s in flips)
+    atoms.sort(key=lambda atom: atom[0])
+    return InterpolationScheme(
+        n, m, d, layout.subset, tuple((CubePoint(bits, n), w, s) for bits, w, s in atoms)
     )
-    return InterpolationScheme(n, m, d, layout.subset, atoms)
 
 
 def atom_count(m: int, d: int) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cube import exact
-from .errors import DegreeOutOfRange, SystemTooLarge, UsageError, ZeroCoefficient
+from .errors import DegreeOutOfRange, DimensionTooLarge, UsageError, ZeroCoefficient
 from .subsets import colex_rank, subsets_colex
 
 _MAX_ROWS = 1_000_000
@@ -92,7 +92,7 @@ def build_system(a: Sequence, d: int) -> KernelSystem:
     n = len(a)
     coeffs = check_system(n, d, a)
     if math.comb(n, d + 1) > _MAX_ROWS:
-        raise SystemTooLarge(f"{math.comb(n, d + 1)} rows exceed the cap {_MAX_ROWS}")
+        raise DimensionTooLarge(f"{math.comb(n, d + 1)} rows exceed the cap {_MAX_ROWS}")
     subs = []
     rows = []
     for T in subsets_colex(n, d + 1):

@@ -32,8 +32,8 @@ from . import cube
 from .cube import CoverFamily, Hyperplane, verify_cover
 from .errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     PoolInsufficient,
-    PoolTooLarge,
     SkewcubeError,
     UsageError,
 )
@@ -102,7 +102,7 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     (a plane and its negation are the same set), contents divided by their
     gcd, and the parity filter applied: a.x has the parity of sum(a), so
     b must match it mod 2 for the form to vanish anywhere. Output is sorted
-    by colex on (a_1..a_n, b). Raises ``PoolTooLarge``, before enumerating,
+    by colex on (a_1..a_n, b). Raises ``DimensionTooLarge``, before enumerating,
     when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28.
     """
     return [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset_bound)[0]]
@@ -119,7 +119,7 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     cube._check_exhaustive(n)
     cells = (2 * coeff_bound) ** n * (2 * offset_bound + 1) << n
     if cells > _POOL_CELLS:
-        raise PoolTooLarge(f"pool table of {cells} cells (planes x 2^n) exceeds {_POOL_CELLS}")
+        raise DimensionTooLarge(f"pool table of {cells} cells (planes x 2^n) exceeds {_POOL_CELLS}")
     # |a.x| <= n*B, so a larger |b| meets no point; the cap keeps all in int64.
     offset_bound = min(offset_bound, n * coeff_bound)
     shape = (2 * coeff_bound,) * (n - 1) + (coeff_bound, 2 * offset_bound + 1)
@@ -130,7 +130,10 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
         # Digit d of a_2..a_n stands for the d-th of -B..-1, 1..B.
         cols = [first + 1] + [d - coeff_bound + (d >= coeff_bound) for d in reversed(tail)]
         b = b - offset_bound
-        keep = ((sum(cols) + b) % 2 == 0) & (np.gcd.reduce([*cols, b]) == 1)
+        # Parity first, so the gcd runs only on the rows it keeps.
+        even = (sum(cols) + b) % 2 == 0
+        cols, b = [c[even] for c in cols], b[even]
+        keep = np.gcd.reduce([*cols, b]) == 1
         a, b = np.stack(cols, axis=1)[keep], b[keep]
         packed = _bitsets(a, b, n)
         hits = packed.any(axis=1)

@@ -117,13 +117,16 @@ def test_interp_constant_poly(capsys, monkeypatch):
 
 
 def test_interp_odd_modulus_exit_4(capsys, monkeypatch):
-    code, _, err = run(
-        ["interp", "-", "--m", "3", "--subset", "2"],
+    # BadModulus, the class vanishing_dimension raises for an odd m too
+    code, out, err = run(
+        ["interp", "-", "--m", "3", "-S", "1"],
         stdin=POLY_X2,
         capsys=capsys,
         monkeypatch=monkeypatch,
     )
     assert code == 4
+    assert out == ""
+    assert err == "error: modulus must be even and >= 2, got 3\n"
 
 
 def test_interp_feasibility_violation_exit_4(capsys, monkeypatch):
@@ -333,19 +336,13 @@ EXIT_CODES = {
     errors.SkewcubeError: 3,
     errors.UsageError: 2,
     errors.ParseError: 2,
-    errors.OddDimension: 2,
     errors.DimensionMismatch: 3,
     errors.DimensionTooLarge: 3,
     errors.EmptyFamily: 3,
-    errors.MTooLarge: 3,
     errors.MissingValue: 3,
-    errors.SignConflict: 3,
     errors.ZeroCoefficient: 3,
-    errors.SystemTooLarge: 3,
-    errors.PoolTooLarge: 3,
     errors.PoolInsufficient: 3,
     errors.BadModulus: 4,
-    errors.OddModulus: 4,
     errors.DegreeTooHigh: 4,
     errors.BadSubsetSize: 4,
     errors.DegreeOutOfRange: 4,

@@ -12,7 +12,7 @@ from skewcube.constructions import (
     power_of_two_cover,
 )
 from skewcube.cube import covered_set, is_skew, verify_cover
-from skewcube.errors import MTooLarge, OddDimension
+from skewcube.errors import DimensionTooLarge, UsageError
 
 
 def normalized(plane):
@@ -50,7 +50,7 @@ def test_power_of_two_sizes_and_skewness():
 
 
 def test_power_of_two_too_large():
-    with pytest.raises(MTooLarge):
+    with pytest.raises(DimensionTooLarge):
         power_of_two_cover(5)
 
 
@@ -98,7 +98,7 @@ def test_balanced_even_covers(n):
 
 
 def test_balanced_rejects_odd():
-    with pytest.raises(OddDimension):
+    with pytest.raises(UsageError):
         balanced_even_cover(5)
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,12 +14,14 @@ from skewcube.errors import (
     DegreeTooHigh,
     DimensionMismatch,
     MissingValue,
-    OddModulus,
 )
+from skewcube.cube import CubePoint
 from skewcube.fourier import inverse_wht, random_poly, w_set, wht
 from skewcube.interpolation import (
+    InterpolationScheme,
     _support_distribution,
     build_scheme,
+    check_recovery_size,
     chunk_layout,
     recover_coefficient,
     vanishing_dimension,
@@ -56,7 +59,7 @@ def test_layout_degree_too_high():
 
 
 def test_layout_odd_modulus():
-    with pytest.raises(OddModulus):
+    with pytest.raises(BadModulus):
         chunk_layout(6, 3, 1, {3})
 
 
@@ -105,6 +108,63 @@ def test_scheme_atom_count_is_product_of_states():
         states = 1 + math.comb(m - 1, m // 2)
         scheme = build_scheme(n, m, d, tuple(range(m, m * d + 1, m)))
         assert len(scheme.atoms) == (states**d) * (2**d)
+
+
+def reference_scheme(n, m, d, subset):
+    """The scheme built by merging atoms that land on one point.
+
+    No two atoms ever meet (see ``atom_count``), so ``build_scheme`` appends
+    them directly; this keeps the merging construction as an oracle.
+    """
+    layout = chunk_layout(n, m, d, subset)
+    chunk_masks = [mask_of(c) for c in layout.chunks]
+    y_scale = Fraction(1, 1 << d)
+    merged = {}
+    for base, prob in _support_distribution(layout):
+        weight = prob * y_scale
+        for ybits in range(1 << d):
+            point = base
+            for j in range(d):
+                if (ybits >> j) & 1:
+                    point ^= chunk_masks[j]
+            sign = -1 if ybits.bit_count() & 1 else 1
+            entry = merged.get(point)
+            if entry is None:
+                merged[point] = [weight, sign]
+            else:
+                assert entry[1] == sign, f"point mask 0x{point:x} merged with both signs"
+                entry[0] += weight
+    atoms = tuple((CubePoint(bits, n), w, s) for bits, (w, s) in sorted(merged.items()))
+    return InterpolationScheme(n, m, d, layout.subset, atoms)
+
+
+def _reference_grid():
+    # m in {2, 4, 6, 8}, d <= 3, the three smallest feasible n, five subsets
+    # each; (m, d) = (8, 3) has 373,248 atoms per scheme and is left out
+    for m in (2, 4, 6, 8):
+        for d in range(4 if m < 8 else 3):
+            for n in range(d * m + m // 2, d * m + m // 2 + 3):
+                subsets = list(itertools.combinations(range(1, n + 1), d))
+                rng = random.Random(1000 * m + 100 * d + n)
+                for subset in rng.sample(subsets, min(5, len(subsets))):
+                    yield n, m, d, subset
+
+
+def test_scheme_equals_merging_reference():
+    cases = list(_reference_grid())
+    assert len(cases) == 174
+    for n, m, d, subset in cases:
+        assert build_scheme(n, m, d, subset) == reference_scheme(n, m, d, subset), (n, m, d, subset)
+
+
+def test_odd_modulus_is_bad_modulus_everywhere():
+    for m in (3, 5, 1, 0, -2):
+        with pytest.raises(BadModulus):
+            build_scheme(9, m, 1, (1,))
+        with pytest.raises(BadModulus):
+            check_recovery_size(9, 1, m, (1,))
+        with pytest.raises(BadModulus):
+            vanishing_dimension(5, m, 1)
 
 
 def test_scheme_deterministic():
@@ -408,7 +468,7 @@ def test_recovery_cap_counts_atoms_times_width(monkeypatch):
         with pytest.raises(DimensionTooLarge):
             check_recovery_size(n, k, m, subset)
     # the layout's own preconditions come first, as build_scheme reports them
-    with pytest.raises(OddModulus):
+    with pytest.raises(BadModulus):
         check_recovery_size(10**30, 1, 3, (1,))
     with pytest.raises(BadSubsetSize):
         check_recovery_size(10**30, 1, 2, (0,))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcube.errors import SystemTooLarge, ZeroCoefficient
+from skewcube.errors import DimensionTooLarge, ZeroCoefficient
 from skewcube.kernel import (
     base_case_det,
     build_system,
@@ -54,7 +54,7 @@ def test_build_system_rejects_zero_coefficient():
 
 
 def test_build_system_row_cap():
-    with pytest.raises(SystemTooLarge):
+    with pytest.raises(DimensionTooLarge):
         build_system((1,) * 30, 14)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from skewcube import cube
 from skewcube.constructions import level_set_cover, power_of_two_cover
 from skewcube.cube import CoverFamily, Hyperplane, covered_set, is_skew, verify_cover
-from skewcube.errors import DimensionTooLarge, PoolInsufficient, PoolTooLarge, UsageError
+from skewcube.errors import DimensionTooLarge, PoolInsufficient, UsageError
 from skewcube.search import (
     SearchConfig,
     SearchOutcome,
@@ -70,7 +70,7 @@ def test_candidate_pool_every_plane_covers_something():
 
 
 def test_candidate_pool_cap():
-    with pytest.raises(PoolTooLarge):
+    with pytest.raises(DimensionTooLarge):
         candidate_pool(20, 3, 20)
 
 
@@ -78,7 +78,7 @@ def test_candidate_pool_cap():
 def test_candidate_pool_refuses_a_table_over_the_cap_at_once(n, coeff_bound, offset):
     # (16, 1, 0) is 2^16 raw planes x 2^16 points; nothing is enumerated
     start = time.perf_counter()
-    with pytest.raises(PoolTooLarge, match="cells"):
+    with pytest.raises(DimensionTooLarge, match="cells"):
         candidate_pool(n, coeff_bound, offset)
     assert time.perf_counter() - start < 1
 
@@ -87,7 +87,7 @@ def test_candidate_pool_cap_counts_cells():
     # 2 * (2 * (2^25 - 1) + 1) raw planes x 2 points is just under 2^28;
     # offsets past n * B meet no point, so the grid stops there
     assert len(candidate_pool(1, 1, (1 << 25) - 1)) == 2
-    with pytest.raises(PoolTooLarge):
+    with pytest.raises(DimensionTooLarge):
         candidate_pool(1, 1, 1 << 25)
 
 
