@@ -10,6 +10,7 @@ from .constructions import (
     power_of_two_cover,
 )
 from .cube import (
+    MAX_CLASS_POINTS,
     MAX_EXHAUSTIVE_N,
     CoverFamily,
     CoverReport,

@@ -18,8 +18,19 @@ Four families, all with every coefficient nonzero:
 
 from __future__ import annotations
 
-from .cube import MAX_EXHAUSTIVE_N, CoverFamily, Hyperplane, _check_exhaustive
+from .cube import CoverFamily, Hyperplane
 from .errors import DimensionTooLarge, UsageError
+
+# Cap on a generated family, in planes times n coefficients. It admits
+# power_of_two_cover(8), 256 planes over n = 263.
+MAX_OUTPUT_CELLS = 1 << 17
+
+
+def _check_output(cells: int, what: str) -> None:
+    if cells > MAX_OUTPUT_CELLS:
+        raise DimensionTooLarge(
+            f"{what} exceeds the output cap of 2^17 coefficients, planes times n"
+        )
 
 
 def power_of_two_cover(m: int) -> CoverFamily:
@@ -30,9 +41,10 @@ def power_of_two_cover(m: int) -> CoverFamily:
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
-    # m is tested first so that a huge m never builds 1 << m.
-    if m > MAX_EXHAUSTIVE_N or (1 << m) + m - 1 > MAX_EXHAUSTIVE_N:
-        raise DimensionTooLarge(f"m={m} gives n = 2^m + m - 1 > {MAX_EXHAUSTIVE_N}")
+    # 2^m is clipped so that a huge m never builds 1 << m; clipped, it is
+    # already over the cap.
+    count = 1 << min(m, MAX_OUTPUT_CELLS.bit_length())
+    _check_output(count * (count + m - 1), f"m={m} (2^m planes over n = 2^m + m - 1)")
     unit = (1,) * ((1 << m) - 1)
     planes = []
     for pattern in range(1 << m):
@@ -51,7 +63,7 @@ def level_set_cover(n: int) -> CoverFamily:
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    _check_exhaustive(n)
+    _check_output((n + 1) * n, f"n={n} ({n + 1} planes)")
     ones = (1,) * n
     return CoverFamily(tuple(Hyperplane(ones, n - 2 * k) for k in range(n + 1)))
 
@@ -64,7 +76,7 @@ def balanced_even_cover(n: int) -> CoverFamily:
     """
     if n < 2 or n % 2:
         raise UsageError(f"n must be even and >= 2, got {n}")
-    _check_exhaustive(n)
+    _check_output(n * n, f"n={n} ({n} planes)")
     ones = (1,) * n
     planes = [Hyperplane(ones, n - 2 * k) for k in range(1, n)]
     planes.append(Hyperplane((1,) * (n // 2) + (-1,) * (n // 2), 0))

@@ -5,13 +5,24 @@ popcount of the mask counts the -1 coordinates. A hyperplane carries exact
 rational coefficients and an offset; "covers" means the affine form vanishes
 as a rational number, never approximately.
 
-Exhaustive enumeration over all 2^n points is capped at n <= 24 and runs
-chunk by chunk over aligned mask ranges. One vectorized evaluator builds
-the subset sums of blocks of planes (at most 2^chunk_bits cells) over a
-chunk's low bits by doubling and compares each plane's with its per-chunk
-target. Its arrays are int64 when the scaled
-integer values fit comfortably and Python ints otherwise, so no input
-changes the exactness of the answer.
+Cover verification is exact but does not visit all 2^n points. Coordinates
+whose columns agree across the family up to one common sign form a class,
+and a plane's value depends only on how many -1s each class holds once the
+negated columns are flipped. So verify_cover evaluates every plane on the
+prod_c (s_c + 1) class points, s_c the size of class c, and weights a class
+point by the prod_c C(s_c, t_c) masks it stands for. It is capped at 2^24
+class points, not at a dimension: level_set_cover(n) has n + 1 class points
+and power_of_two_cover(m) 4^m. A family with no repeated column has 2^n
+class points, one per mask. covered_set returns the points themselves, so
+it stays capped at n <= 24.
+
+Both run through one vectorized evaluator over a mixed-radix grid (radix
+s_c + 1 for the class points, 2 for masks), chunk by chunk over aligned
+index ranges. It builds the sums of the low digits for blocks of planes (at
+most 2^chunk_bits cells), once per block, and compares each plane's with
+its per-chunk target. Its arrays are int64 when the scaled integer values
+fit comfortably and Python ints otherwise, so no input changes the
+exactness of the answer.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import numpy as np
 from .errors import DimensionMismatch, DimensionTooLarge, EmptyFamily, UsageError
 
 MAX_EXHAUSTIVE_N = 24
+MAX_CLASS_POINTS = 1 << MAX_EXHAUSTIVE_N
 
 _CHUNK_BITS = 18
 _SAMPLE_CAP = 32
@@ -184,44 +196,172 @@ def _plane_arrays(planes_int, n: int):
     return a, np.array([p[1] for p in planes_int], dtype=dtype)
 
 
-def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS):
-    """Per plane, offsets within the aligned chunk [lo, hi) where a.x + b = 0.
+def _layout(radix, chunk_bits: int) -> tuple[int, int]:
+    """A chunk's low digits and width: the longest prefix of the radices whose
+    product is at most 2^chunk_bits, and that product."""
+    low, width = 0, 1
+    for r in radix:
+        if width * r > 1 << chunk_bits:
+            break
+        low, width = low + 1, width * int(r)
+    return low, width
 
-    a.x + b = (b + sum a) - 2*s(mask), where s sums the a_j whose bit is set,
-    so the plane vanishes at lo + i iff s(i) == (b + sum a)/2 - s(lo); if that
-    target is odd it meets no point. The low-bit subset sums s(i) are built
-    by doubling in blocks of at most 1 << chunk_bits cells (planes x points),
-    in the dtype of a and b. Returns (counts, offsets): plane i's counts[i]
-    ascending offsets follow those of the planes before it.
+
+def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
+    """Yield (block, k, flat): where the planes of a block vanish in chunk k of [lo, hi).
+
+    A grid point t has digit t_c in 0..radix[c] - 1, digit 0 fastest, and the
+    value b + sum_c a_c (radix[c] - 1) - 2 sum_c a_c t_c; with every radix 2
+    that is a.x + b at mask t. A chunk fixes the digits above its low ones
+    (see _layout), so a plane vanishes at chunk offset i iff the low sum
+    s(i) = sum_{c < low} a_c t_c equals half of b + sum_c a_c (radix[c] - 1)
+    less the chunk's high sum; if that total is odd it meets no point. The
+    planes go in blocks of at most 2^chunk_bits cells (planes x chunk width),
+    in the dtype of a and b. Each block builds its low sums once, by shifted
+    adds, and compares them with the target of every chunk in turn. flat
+    indexes the block's planes x offsets row-major, so it ascends by plane,
+    then offset. [lo, hi) must be a whole number of chunks.
     """
-    width = hi - lo
-    low_bits = width.bit_length() - 1
-    high = np.array([j >= low_bits and (lo >> j) & 1 for j in range(n)], dtype=bool)
-    twice_target = b + a.sum(axis=1) - 2 * a[:, high].sum(axis=1)
-    even = np.flatnonzero(twice_target % 2 == 0)
+    low, width = _layout(radix, chunk_bits)
+    full = b + a @ (radix - 1)
+    even = np.flatnonzero(full % 2 == 0)
+    # The digits above the low ones, per chunk of [lo, hi).
+    q = np.arange(lo // width, hi // width)
+    high = np.empty((q.size, len(radix) - low), dtype=np.int64)
+    for c, r in enumerate(radix[low:]):
+        q, high[:, c] = np.divmod(q, r)
     step = max(1, (1 << chunk_bits) // width)
-    counts = np.zeros(len(b), dtype=np.intp)
-    offsets = [np.empty(0, dtype=np.intp)]
     buf = np.zeros((min(step, even.size), width), dtype=a.dtype)
     for start in range(0, even.size, step):
         block = even[start : start + step]
         coeffs = a[block]
-        sums = buf[: block.size]
-        for j in range(low_bits):
-            np.add(sums[:, : 1 << j], coeffs[:, j, None], out=sums[:, 1 << j : 2 << j])
-        flat = np.flatnonzero(sums == (twice_target[block] // 2)[:, None])
-        counts[block] = np.diff(np.searchsorted(flat, np.arange(block.size + 1) * width))
-        offsets.append(flat & (width - 1))
+        targets = full[block][:, None] // 2 - coeffs[:, low:] @ high.T
+        sums, size = buf[: block.size], 1
+        for c in range(low):
+            for d in range(1, radix[c]):
+                np.add(sums[:, size * (d - 1) : size * d], coeffs[:, c, None], out=sums[:, size * d : size * (d + 1)])
+            size *= int(radix[c])
+        for k in range(len(high)):
+            yield block, k, np.flatnonzero(sums == targets[:, k, None])
+
+
+def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS, radix=None):
+    """Per plane, the offsets within the chunk [lo, hi) of the n-digit grid
+    where it vanishes.
+
+    The radices default to 2, where offset i is mask lo + i and the chunks
+    are those of _chunk_ranges. Returns (counts, offsets): plane i's
+    counts[i] ascending offsets follow those of the planes before it.
+    """
+    radix = np.full(n, 2) if radix is None else radix
+    width = _layout(radix, chunk_bits)[1]
+    counts = np.zeros(len(b), dtype=np.intp)
+    offsets = [np.empty(0, dtype=np.intp)]
+    for block, _, flat in _zero_hits(a, b, radix, lo, hi, chunk_bits):
+        starts = np.arange(block.size + 1) * width
+        counts[block] = np.diff(np.searchsorted(flat, starts))
+        offsets.append(flat - np.repeat(starts[:-1], counts[block]))
     return counts, np.concatenate(offsets)
 
 
-def _verify_chunk_job(args):
-    a, b, n, lo, hi, chunk_bits = args
-    counts, offsets = _chunk_zero_offsets(a, b, n, lo, hi, chunk_bits)
+def _coordinate_classes(a) -> tuple[list[int], list[int], int]:
+    """Group the coordinates whose columns of a agree up to one common sign.
+
+    Returns (reps, class_of, flips): each class's lowest coordinate, in
+    ascending order; the class index of every coordinate; and the mask of
+    the coordinates whose column is the negative of their representative's.
+    """
+    index: dict[tuple, int] = {}
+    reps, rep_neg, class_of, flips = [], [], [], 0
+    for j, col in enumerate(a.T.tolist()):
+        neg = next((c < 0 for c in col if c), False)
+        c = index.setdefault(tuple(-v for v in col) if neg else tuple(col), len(reps))
+        if c == len(reps):
+            reps.append(j)
+            rep_neg.append(neg)
+        elif neg != rep_neg[c]:
+            flips |= 1 << j
+        class_of.append(c)
+    return reps, class_of, flips
+
+
+def _verify_range_job(args):
+    """Weighted zero counts, uncovered weight and packed uncovered class
+    points of the chunks in [lo, hi) of the class grid."""
+    a, b, radix, lo, hi, chunk_bits = args
+    low, width = _layout(radix, chunk_bits)
+    # Weights sum to 2^n over the grid, so int64 holds every sum up to n = 62.
+    dtype = np.int64 if (radix - 1).sum() <= 62 else object
+    w_low = np.ones(1, dtype=dtype)
+    for r in radix[:low].tolist():
+        w_low = np.outer(np.array([math.comb(r - 1, t) for t in range(r)], dtype=dtype), w_low).ravel()
+    w_high, high = [], radix[low:].tolist()
+    for q in range(lo // width, hi // width):
+        w = 1
+        for r in high:
+            q, d = divmod(q, r)
+            w *= math.comb(r - 1, d)
+        w_high.append(w)
+    # When every low class is a singleton, every low weight is 1 and
+    # counting stands in for summing weights.
+    unit = bool((radix[:low] == 2).all())
     covered = np.zeros(hi - lo, dtype=bool)
-    covered[offsets] = True
-    unc = np.nonzero(~covered)[0]
-    return counts.tolist(), int(unc.size), [int(lo + i) for i in unc[:_SAMPLE_CAP]]
+    counts = np.zeros(len(b), dtype=dtype)
+    for block, k, flat in _zero_hits(a, b, radix, lo, hi, chunk_bits):
+        offsets = flat % width
+        covered[k * width + offsets] = True
+        ends = np.searchsorted(flat, np.arange(block.size + 1) * width)
+        if not unit:
+            running = np.zeros(flat.size + 1, dtype=dtype)
+            np.cumsum(w_low[offsets], out=running[1:])
+            ends = running[ends]
+        counts[block] += np.diff(ends) * w_high[k]
+    uncovered = ~covered
+    weight = 0
+    for k, w in enumerate(w_high):
+        chunk = uncovered[k * width : (k + 1) * width]
+        weight += int(np.count_nonzero(chunk) if unit else w_low @ chunk) * w
+    return counts.tolist(), weight, np.packbits(uncovered)
+
+
+def _smallest_masks(uncovered, radix, class_of, flips: int, limit: int) -> list[int]:
+    """The ``limit`` smallest masks whose class point is uncovered, ascending.
+
+    Bits are fixed from the top, 0 before 1. A prefix fixes some of each
+    class's coordinates, so the -1 count t_c of class c (after the flips)
+    lies in a range; a prefix is kept only if that box of the grid holds an
+    uncovered class point, so every kept prefix has a completion.
+    """
+    grid = uncovered.reshape(radix[::-1].tolist())
+    fixed = [0] * len(radix)
+    free = (radix - 1).tolist()
+    masks, path, mask, bit = [], [], 0, 0
+    while len(masks) < limit:
+        j = len(class_of) - 1 - len(path)
+        if j >= 0 and bit < 2:
+            c, y = class_of[j], bit ^ (flips >> j & 1)
+            fixed[c] += y
+            free[c] -= 1
+            if grid[tuple(slice(t, t + f + 1) for t, f in zip(fixed[::-1], free[::-1]))].any():
+                path.append(bit)
+                mask |= bit << j
+                bit = 0
+                continue
+            fixed[c] -= y
+            free[c] += 1
+            bit += 1
+            continue
+        if j < 0:
+            masks.append(mask)
+        if not path:
+            break
+        j += 1
+        bit = path.pop()
+        mask &= ~(1 << j)
+        fixed[class_of[j]] -= bit ^ (flips >> j & 1)
+        free[class_of[j]] += 1
+        bit += 1
+    return masks
 
 
 def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
@@ -241,33 +381,60 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
 def verify_cover(
     family: CoverFamily, *, workers: int = 1, chunk_bits: int = _CHUNK_BITS
 ) -> CoverReport:
-    """Exhaustively check whether the family covers every point of the cube.
+    """Check exactly whether the family covers every point of the cube.
 
-    The point range is split into aligned chunks; with workers > 1 the chunks
-    are verified in min(workers, chunks, cpu count) parallel processes. Chunk
-    reductions are integer counts and ordered samples, so the report is
-    identical for any worker count.
+    Two coordinates are in one class when their integerized columns agree
+    across all planes up to one common sign; the class representative is
+    its lowest coordinate. Substituting y_j = -x_j for the coordinates whose
+    column is the negative of their representative's is a bijection of the
+    cube, after which every plane has equal coefficients inside each class.
+    Any permutation of the coordinates inside a class then fixes every
+    plane's value, so that value depends only on the class point t, where
+    t_c counts the -1s of y in class c, and the t-orbit holds
+    prod_c C(s_c, t_c) masks, s_c the size of class c. Evaluating each plane
+    once per class point (prod_c (s_c + 1) of them) and weighting the point
+    by its orbit therefore counts masks exactly. With no repeated column
+    every class is a singleton, the class point is the mask and the weights
+    are 1.
+
+    The class grid is split into aligned chunks; with workers > 1 runs of
+    consecutive chunks are verified in min(workers, chunks, cpu count)
+    parallel processes. Their results are exact integer sums and packed
+    bitmaps, so the report is identical for any worker count. The sample is
+    the 32 smallest uncovered masks. Raises ``DimensionTooLarge`` above
+    2^24 class points.
     """
     n = family.n
-    _check_exhaustive(n)
     a, b = _plane_arrays([_integerized(p) for p in family.planes], n)
-    jobs = [(a, b, n, lo, hi, chunk_bits) for lo, hi in _chunk_ranges(n, chunk_bits)]
-    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    reps, class_of, flips = _coordinate_classes(a)
+    radix = np.bincount(class_of) + 1
+    # Every radix is at least 2, so more classes than cap bits are over it.
+    total = math.prod(radix.tolist()) if len(radix) <= MAX_EXHAUSTIVE_N else MAX_CLASS_POINTS + 1
+    if total > MAX_CLASS_POINTS:
+        raise DimensionTooLarge(
+            f"the {len(radix)} coordinate classes of n={n} give more than "
+            f"2^{MAX_EXHAUSTIVE_N} class points, the verification cap"
+        )
+    width = _layout(radix, chunk_bits)[1]
+    chunks = total // width
+    pool_size = min(workers, chunks, os.cpu_count() or 1)
+    cuts = [chunks * i // pool_size * width for i in range(pool_size + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+    jobs = [(a[:, reps], b, radix, lo, hi, chunk_bits) for lo, hi in ranges]
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_verify_chunk_job, jobs))
+            parts = list(pool.map(_verify_range_job, jobs))
     else:
-        parts = [_verify_chunk_job(job) for job in jobs]
+        parts = [_verify_range_job(job) for job in jobs]
 
-    counts = [0] * len(b)
-    num_uncovered = 0
+    counts = [sum(c) for c in zip(*(part[0] for part in parts))]
+    num_uncovered = sum(part[1] for part in parts)
     sample: list[int] = []
-    for chunk_counts, unc, chunk_sample in parts:
-        for i, v in enumerate(chunk_counts):
-            counts[i] += v
-        num_uncovered += unc
-        if len(sample) < _SAMPLE_CAP:
-            sample.extend(chunk_sample[: _SAMPLE_CAP - len(sample)])
+    if num_uncovered:
+        uncovered = np.concatenate(
+            [np.unpackbits(part[2], count=hi - lo).view(bool) for part, (lo, hi) in zip(parts, ranges)]
+        )
+        sample = _smallest_masks(uncovered, radix, class_of, flips, _SAMPLE_CAP)
     return CoverReport(
         covered=num_uncovered == 0,
         num_uncovered=num_uncovered,

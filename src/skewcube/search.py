@@ -38,8 +38,11 @@ from .errors import (
     UsageError,
 )
 
-# Cap on the pool's one evaluation, in raw planes times 2^n points.
+# Caps on the pool's one evaluation, in raw planes times 2^n points, and on
+# its raw planes once offsets past n * B are dropped: at n <= 2 the cell cap
+# alone admits grids of 2^25 rows that almost all meet nothing.
 _POOL_CELLS = 1 << 28
+_POOL_ROWS = 1 << 20
 # Nodes between reads of the clock when a time budget is set.
 _CHECK_EVERY = 256
 
@@ -103,7 +106,8 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     gcd, and the parity filter applied: a.x has the parity of sum(a), so
     b must match it mod 2 for the form to vanish anywhere. Output is sorted
     by colex on (a_1..a_n, b). Raises ``DimensionTooLarge``, before enumerating,
-    when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28.
+    when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28,
+    or when B (2B)^(n-1) (2 min(offset_bound, nB) + 1) raw planes exceed 2^20.
     """
     return [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset_bound)[0]]
 
@@ -124,6 +128,8 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     offset_bound = min(offset_bound, n * coeff_bound)
     shape = (2 * coeff_bound,) * (n - 1) + (coeff_bound, 2 * offset_bound + 1)
     total, step = math.prod(shape), max(1, (1 << cube._CHUNK_BITS) >> n)
+    if total > _POOL_ROWS:
+        raise DimensionTooLarge(f"pool grid of {total} raw planes exceeds {_POOL_ROWS}")
     rows, cov = [], []
     for start in range(0, total, step):
         *tail, first, b = np.unravel_index(np.arange(start, min(start + step, total)), shape)

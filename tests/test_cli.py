@@ -34,6 +34,23 @@ def test_construct_verify_pipe_all_kinds(capsys, monkeypatch):
         assert report["num_uncovered"] == 0
 
 
+def test_construct_verify_pipe_past_n_24(capsys, monkeypatch):
+    # these exited 3 while verify enumerated all 2^n points; each family has
+    # at most two coordinate classes besides singletons
+    for argv, n in (
+        (["construct", "pow2", "8"], 263),
+        (["construct", "levels", "100"], 100),
+        (["construct", "balanced", "60"], 60),
+    ):
+        code, planes, _ = run(argv, capsys=capsys)
+        assert code == 0
+        code, out, _ = run(["verify", "-", "--workers", "2"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+        report = json.loads(out)
+        assert report["covered"] is True and report["n"] == n
+        assert sum(report["per_plane_counts"]) >= 2**n
+
+
 def test_construct_balanced_odd_is_usage_error(capsys):
     code, _, err = run(["construct", "balanced", "5"], capsys=capsys)
     assert code == 2
@@ -366,9 +383,10 @@ def test_every_error_class_carries_its_exit_code():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["construct", "levels", "25"],
-        ["construct", "balanced", "26"],
-        ["construct", "pow2", "5"],
+        # (n + 1) * n, n * n and 512 * 520 coefficients are over the 2^17 cap
+        ["construct", "levels", "400"],
+        ["construct", "balanced", "400"],
+        ["construct", "pow2", "9"],
         ["construct", "pow2", str(10**30)],
     ],
 )

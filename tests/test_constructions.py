@@ -50,8 +50,14 @@ def test_power_of_two_sizes_and_skewness():
 
 
 def test_power_of_two_too_large():
-    with pytest.raises(DimensionTooLarge):
-        power_of_two_cover(5)
+    # 512 planes over n = 520 is over the output cap; 10**30 never builds 2^m
+    for m in (9, 10**30):
+        with pytest.raises(DimensionTooLarge, match="output cap"):
+            power_of_two_cover(m)
+    with pytest.raises(DimensionTooLarge, match="output cap"):
+        level_set_cover(400)
+    with pytest.raises(DimensionTooLarge, match="output cap"):
+        balanced_even_cover(400)
 
 
 def test_level_set_n1():

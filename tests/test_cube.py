@@ -17,6 +17,7 @@ from skewcube.cube import (
     is_skew,
     verify_cover,
 )
+from skewcube.constructions import level_set_cover, power_of_two_cover
 from skewcube.errors import DimensionMismatch, DimensionTooLarge, EmptyFamily
 
 nonzero_coeff = st.integers(-5, 5).filter(lambda v: v != 0)
@@ -114,6 +115,13 @@ def test_covered_set_rejects_mismatched_n():
 def test_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         covered_set(Hyperplane((1,) * 25, 0))
+    # no two columns agree up to sign: 25 singleton classes, 2^25 class points
+    distinct = CoverFamily((Hyperplane(tuple(range(1, 26)), 0),))
+    with pytest.raises(DimensionTooLarge, match="class points"):
+        verify_cover(distinct)
+    # one class of 25 columns is 26 class points, far under the cap; a sum
+    # of 25 odd terms is never 0
+    assert verify_cover(CoverFamily((Hyperplane((1,) * 25, 0),))).num_uncovered == 1 << 25
 
 
 def test_empty_family_rejected():
@@ -362,7 +370,8 @@ def test_pool_size_clamped(monkeypatch):
 
     monkeypatch.setattr(cube, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cube.os, "cpu_count", lambda: 3)
-    fam = CoverFamily((Hyperplane((1, 1, 1, 1), 0), Hyperplane((1, 1, 1, 1), 2)))
+    # no two columns agree up to sign, so the class grid is all 16 masks
+    fam = CoverFamily((Hyperplane((1, 2, 3, 4), 0), Hyperplane((1, 2, 3, 4), 2)))
     base = verify_cover(fam)
     # 16 chunks, clamped by the cpu count; 2 chunks, clamped by the chunks
     assert verify_cover(fam, workers=8, chunk_bits=0) == base
@@ -403,3 +412,88 @@ def test_cube_point_range_without_building_two_to_the_n():
     for bits, n in [(1 << 40, 40), (-1, 3), (1 << 10**6, 10**6), (8, 3)]:
         with pytest.raises(UsageError):
             CubePoint(bits, n)
+
+
+@st.composite
+def class_families(draw, max_n=12):
+    """Families whose columns repeat: every coordinate takes one of a few base
+    columns, negated or not, and some bases have zero entries."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    bases = [[draw(coeff) for _ in range(k)] for _ in range(draw(st.integers(1, min(n, 4))))]
+    cols = [
+        [draw(st.sampled_from((1, -1))) * c for c in draw(st.sampled_from(bases))]
+        for _ in range(n)
+    ]
+    return CoverFamily(
+        tuple(
+            Hyperplane(tuple(col[i] for col in cols), draw(st.integers(-n, n)))
+            for i in range(k)
+        )
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(class_families(), st.data())
+def test_class_reduction_matches_bruteforce(family, data):
+    # each plane is rescaled by its own rational, and by 2^64 (the object
+    # dtype) one time in four; the classes are found after each plane is
+    # integerized on its own
+    big = data.draw(st.booleans()) and data.draw(st.booleans())
+    scales = [
+        Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) * (1 << 64 if big else 1)
+        for _ in family
+    ]
+    fam = scaled(family, scales)
+    want = brute_report(fam)
+    for chunk_bits in (0, 1, 3, 18):
+        assert verify_cover(fam, chunk_bits=chunk_bits) == want
+    for chunk_bits in (0, 2):
+        assert verify_cover(fam, workers=2, chunk_bits=chunk_bits) == want
+
+
+def smallest_masks_of_weight(n, w, count):
+    """The count smallest n-bit masks with w bits set (Gosper's hack)."""
+    out, m = [], (1 << w) - 1
+    while len(out) < count and m < 1 << n:
+        out.append(m)
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
+    return out
+
+
+def test_level_set_64_minus_one_level():
+    # plane k covers the C(64, k) points with k coordinates +1, that is
+    # the masks of weight 64 - k; the 65 class points stand for 2^64 masks
+    n, gone = 64, 40
+    fam = CoverFamily(tuple(p for k, p in enumerate(level_set_cover(n)) if k != gone))
+    report = verify_cover(fam)
+    assert report.per_plane_counts == tuple(math.comb(n, k) for k in range(n + 1) if k != gone)
+    assert report.num_uncovered == math.comb(n, gone)
+    assert not report.covered
+    masks = [p.bits for p in report.uncovered_sample]
+    assert all(bin(m).count("1") == n - gone for m in masks)
+    assert masks == smallest_masks_of_weight(n, n - gone, 32)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_power_of_two_cover_counts(m):
+    # n = 36, 69, 134: one class of 2^m - 1 columns and m singletons. A
+    # point lies on the plane whose signed powers cancel its unit sum, so
+    # plane p covers sum over tails y of C(2^m - 1, k) points, where the
+    # unit block has k coordinates -1 and sums to -(sum_j eps_j 2^j y_j)
+    fam = power_of_two_cover(m)
+    units = (1 << m) - 1
+    want = []
+    for p in range(1 << m):
+        count = 0
+        for y in range(1 << m):
+            tail = sum((-1 if (p >> j) & 1 else 1) * (-1 if (y >> j) & 1 else 1) << j for j in range(m))
+            if (units + tail) % 2 == 0 and 0 <= (units + tail) // 2 <= units:
+                count += math.comb(units, (units + tail) // 2)
+        want.append(count)
+    report = verify_cover(fam)
+    assert report.covered and report.per_plane_counts == tuple(want)
+    assert sum(want) == 1 << fam.n

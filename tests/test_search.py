@@ -91,6 +91,15 @@ def test_candidate_pool_cap_counts_cells():
         candidate_pool(1, 1, 1 << 25)
 
 
+def test_pool_rows_refuses_a_grid_over_the_row_cap_at_once():
+    # (2B)^2 = 2^26 raw planes times 4 points is exactly the cell cap, yet
+    # the grid's 2^25 rows (a_1 > 0) give a pool of 2 planes
+    start = time.perf_counter()
+    with pytest.raises(DimensionTooLarge, match="raw planes"):
+        _pool_rows(2, 4096, 0)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n", [25, 10**30])
 def test_candidate_pool_checks_the_cube_size_first(n):
     with pytest.raises(DimensionTooLarge, match="exhaustive cap"):
