@@ -245,15 +245,14 @@ def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
             yield block, k, np.flatnonzero(sums == targets[:, k, None])
 
 
-def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS, radix=None):
-    """Per plane, the offsets within the chunk [lo, hi) of the n-digit grid
-    where it vanishes.
+def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS):
+    """Per plane, the offsets i within the chunk [lo, hi) of _chunk_ranges
+    where it vanishes at mask lo + i.
 
-    The radices default to 2, where offset i is mask lo + i and the chunks
-    are those of _chunk_ranges. Returns (counts, offsets): plane i's
-    counts[i] ascending offsets follow those of the planes before it.
+    Returns (counts, offsets): plane i's counts[i] ascending offsets follow
+    those of the planes before it.
     """
-    radix = np.full(n, 2) if radix is None else radix
+    radix = np.full(n, 2)
     width = _layout(radix, chunk_bits)[1]
     counts = np.zeros(len(b), dtype=np.intp)
     offsets = [np.empty(0, dtype=np.intp)]
@@ -303,7 +302,8 @@ def _verify_range_job(args):
             w *= math.comb(r - 1, d)
         w_high.append(w)
     # When every low class is a singleton, every low weight is 1 and
-    # counting stands in for summing weights.
+    # counting stands in for summing weights: about a quarter less time
+    # with no repeated column at n = 22 and 24 (see CHANGES.md).
     unit = bool((radix[:low] == 2).all())
     covered = np.zeros(hi - lo, dtype=bool)
     counts = np.zeros(len(b), dtype=dtype)
@@ -399,10 +399,10 @@ def verify_cover(
 
     The class grid is split into aligned chunks; with workers > 1 runs of
     consecutive chunks are verified in min(workers, chunks, cpu count)
-    parallel processes. Their results are exact integer sums and packed
-    bitmaps, so the report is identical for any worker count. The sample is
-    the 32 smallest uncovered masks. Raises ``DimensionTooLarge`` above
-    2^24 class points.
+    parallel processes, and with workers < 2 in this one. Their results are
+    exact integer sums and packed bitmaps, so the report is identical for
+    any worker count. The sample is the 32 smallest uncovered masks. Raises
+    ``DimensionTooLarge`` above 2^24 class points.
     """
     n = family.n
     a, b = _plane_arrays([_integerized(p) for p in family.planes], n)
@@ -417,7 +417,7 @@ def verify_cover(
         )
     width = _layout(radix, chunk_bits)[1]
     chunks = total // width
-    pool_size = min(workers, chunks, os.cpu_count() or 1)
+    pool_size = max(1, min(workers, chunks, os.cpu_count() or 1))
     cuts = [chunks * i // pool_size * width for i in range(pool_size + 1)]
     ranges = list(zip(cuts, cuts[1:]))
     jobs = [(a[:, reps], b, radix, lo, hi, chunk_bits) for lo, hi in ranges]

@@ -39,8 +39,10 @@ from .errors import (
 )
 
 # Caps on the pool's one evaluation, in raw planes times 2^n points, and on
-# its raw planes once offsets past n * B are dropped: at n <= 2 the cell cap
-# alone admits grids of 2^25 rows that almost all meet nothing.
+# its raw planes once offsets past n * B are dropped. The row cap is the
+# bound the cell cap implies at n = 7 (2^28 cells over 2^7 points, halved by
+# a_1 > 0); below n = 7 the cell cap alone admits up to 2^(27 - n) rows,
+# 2^25 at n = 2, that almost all meet nothing.
 _POOL_CELLS = 1 << 28
 _POOL_ROWS = 1 << 20
 # Nodes between reads of the clock when a time budget is set.

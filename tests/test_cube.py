@@ -347,7 +347,8 @@ def test_reports_identical_across_workers_and_chunks():
     big = scaled(family, [(1 << 70) + 3] * len(family))
     for fam in (family, big):
         want = brute_report(fam)
-        for workers in (1, 2):
+        # a worker count below 1 runs serially
+        for workers in (-1, 0, 1, 2):
             for chunk_bits in (1, 3, 5, 18):
                 assert verify_cover(fam, workers=workers, chunk_bits=chunk_bits) == want
 
