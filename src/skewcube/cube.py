@@ -27,6 +27,7 @@ exactness of the answer.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +54,13 @@ def exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; pass int, Fraction or 'p/q'")
     return Fraction(value)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction(v: int) -> Fraction:
+    """Fraction(v), shared by the planes built from the last 1,024 ints;
+    a Fraction is immutable, and building one costs several cache hits."""
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,36 @@ class CubePoint:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The affine plane a.x + b = 0 with exact rational coefficients."""
+    """The affine plane a.x + b = 0 with exact rational coefficients.
+
+    Construction also stores the integer row ``_row`` = (a_int, b_int, den)
+    that ``_integerized`` returns: the plane scaled by the least common
+    denominator ``den``, or the input itself with den = 1 when every input
+    is an int. It is not a field, so equality, hashing and ``repr`` read
+    ``a`` and ``b`` alone.
+    """
 
     a: tuple[Fraction, ...]
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(exact(v) for v in self.a))
-        object.__setattr__(self, "b", exact(self.b))
-        if not self.a:
+        a, b = tuple(self.a), self.b
+        if type(b) is int and all(type(v) is int for v in a):
+            row = (a, b, 1)
+            a, b = tuple(map(_fraction, a)), _fraction(b)
+        else:
+            a = tuple(v if type(v) is Fraction else exact(v) for v in a)
+            b = b if type(b) is Fraction else exact(b)
+            den = math.lcm(b.denominator, *(c.denominator for c in a))
+            row = (
+                tuple(c.numerator * (den // c.denominator) for c in a),
+                b.numerator * (den // b.denominator),
+                den,
+            )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_row", row)
+        if not a:
             raise UsageError("a hyperplane needs at least one coefficient")
 
     @property
@@ -144,13 +173,9 @@ class CoverReport:
 
 
 def _integerized(plane: Hyperplane) -> tuple[tuple[int, ...], int, int]:
-    """Scale a plane to integer coefficients; returns (a_int, b_int, denominator)."""
-    den = math.lcm(plane.b.denominator, *(c.denominator for c in plane.a))
-    return (
-        tuple(c.numerator * (den // c.denominator) for c in plane.a),
-        plane.b.numerator * (den // plane.b.denominator),
-        den,
-    )
+    """The plane scaled to integer coefficients, (a_int, b_int, denominator),
+    as stored at construction."""
+    return plane._row
 
 
 def evaluate(plane: Hyperplane, point: CubePoint) -> Fraction:

@@ -294,9 +294,17 @@ def recover_coefficient(
     )
 
 
-def _krawtchouk(n: int, k: int, u: int) -> int:
-    """Sum of (-1)^|x & U| over the masks x of weight k, for any U of weight u."""
-    return sum((-1) ** j * math.comb(u, j) * math.comb(n - u, k - j) for j in range(k + 1))
+def _krawtchouk_column(n: int, u: int, count: int) -> list[int]:
+    """K_0(u; n) .. K_{count-1}(u; n), where K_t(u; n) is the sum of
+    (-1)^|x & U| over the masks x of weight t, for any U of weight u.
+
+    By the three-term recurrence (t+1) K_{t+1} = (n - 2u) K_t - (n - t + 1)
+    K_{t-1}, from K_0 = 1 and K_1 = n - 2u; the division is exact.
+    """
+    column = [1, n - 2 * u][:count]
+    for t in range(1, count - 1):
+        column.append(((n - 2 * u) * column[t] - (n - t + 1) * column[t - 1]) // (t + 1))
+    return column
 
 
 def vanishing_dimension(n: int, m: int, d: int) -> int:
@@ -312,8 +320,8 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
 
     where C_k has rows j = k .. min(d, n - k), columns w in {0, m, 2m, ...}
     with k <= w <= n - k, and entry K_{j-k}(w - k; n - 2k), the Krawtchouk
-    value ``_krawtchouk(n - 2k, j - k, w - k)``. ``exact_nullity`` gives
-    each rank exactly.
+    value, which ``_krawtchouk_column`` gives for a whole column of C_k at
+    once. ``exact_nullity`` gives each rank exactly.
 
     Proof. Let M^j be the permutation module of S_n on the j-subsets of
     {1..n}. The monomials of degree j span a copy of M^j, and the functions
@@ -362,7 +370,7 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
         degrees = range(k, min(d, n - k) + 1)
         levels = range(k + (-k) % m, n - k + 1, m)
         # C_k transposed: exact_nullity returns rows_k - rank C_k.
-        block = [[_krawtchouk(n - 2 * k, j - k, w - k) for j in degrees] for w in levels]
+        block = [_krawtchouk_column(n - 2 * k, w - k, len(degrees)) for w in levels]
         copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
         total += copies * exact_nullity(block, len(degrees))
     return total

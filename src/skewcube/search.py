@@ -2,19 +2,21 @@
 
 The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
-and do somewhere by one capped pass of the cube evaluator, which also gives
-the search its bitsets, and orders them canonically. The cover search is
-depth-first branch and bound with iterative deepening on the family size,
-starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
-that is vacuous by the bound, and the search reports it as exhausted without
-exploring. Inside the tree two lower bounds prune a child whose remaining
-budget cannot finish the cover: a counting rule (the budget times the largest
-single-plane coverage is below the number of uncovered points) and a packing
-rule (more than budget uncovered points, no two of which lie on a common pool
-plane). The packing rule is sound because each of those points needs a plane
-of its own. A node tests its children against both rules before recursing:
-the counting rule cuts a suffix of the sorted children in one comparison per
-child and no call, the packing rule is tested on each child that survives it.
+and do somewhere by one capped pass of the cube evaluator, and orders them
+canonically. The same pass gives the search its bitsets, one row of uint64
+words per plane. The cover search is depth-first branch and bound with
+iterative deepening on the family size, starting at the proven lower bound
+ceil(n/2 + 1): asking for fewer planes than that is vacuous by the bound, and
+the search reports it as exhausted without exploring. Inside the tree two
+lower bounds prune a child whose remaining budget cannot finish the cover: a
+counting rule (the budget times the largest single-plane coverage is below
+the number of uncovered points) and a packing rule (more than budget
+uncovered points, no two of which lie on a common pool plane). The packing
+rule is sound because each of those points needs a plane of its own. A node
+tests its children against both rules before recursing: one popcount over
+the word rows gives every child's fresh coverage, the counting rule cuts a
+suffix of the sorted children with no call, and the packing rule is tested
+on each child that survives it.
 Negative outcomes are always claims relative to the configured bounds, never
 unconditional nonexistence statements.
 """
@@ -132,7 +134,7 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     total, step = math.prod(shape), max(1, (1 << cube._CHUNK_BITS) >> n)
     if total > _POOL_ROWS:
         raise DimensionTooLarge(f"pool grid of {total} raw planes exceeds {_POOL_ROWS}")
-    rows, cov = [], []
+    rows, words = [], []
     for start in range(0, total, step):
         *tail, first, b = np.unravel_index(np.arange(start, min(start + step, total)), shape)
         # Digit d of a_2..a_n stands for the d-th of -B..-1, 1..B.
@@ -146,24 +148,30 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
         packed = _bitsets(a, b, n)
         hits = packed.any(axis=1)
         rows += zip(map(tuple, a[hits].tolist()), b[hits].tolist())
-        cov += (int.from_bytes(row.tobytes(), "little") for row in packed[hits])
-    return rows, cov
+        words.append(packed[hits])
+    return rows, np.concatenate(words)
 
 
 def _bitsets(a, b, n: int):
-    """Per integer plane row, its covered masks packed little-endian."""
-    hit = np.zeros((len(b), 1 << n), dtype=bool)
+    """Per integer plane row, its covered masks as a row of max(1, 2^n / 64)
+    little-endian uint64 words: bit m % 64 of word m // 64 is set iff the
+    plane covers mask m. Below n = 6 the one word is padded with zeros."""
+    hit = np.zeros((len(b), max(64, 1 << n)), dtype=bool)
     for lo, hi in cube._chunk_ranges(n, cube._CHUNK_BITS):
         counts, offsets = cube._chunk_zero_offsets(a, b, n, lo, hi)
         hit[:, lo:hi][np.repeat(np.arange(len(b)), counts), offsets] = True
-    return np.packbits(hit, axis=1, bitorder="little")
+    return np.packbits(hit, axis=1, bitorder="little").view("<u8")
+
+
+def _ints(words) -> list[int]:
+    """Per row of a word matrix, the int whose bit m is bit m of the row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 def _covered_bitsets(pool: list[Hyperplane], n: int) -> list[int]:
     """Per plane, the int whose bit m is set iff the plane covers mask m."""
     cube._check_exhaustive(n)
-    packed = _bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _ints(_bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n))
 
 
 def _canonical_root(a, b) -> bool:
@@ -186,9 +194,10 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
       cannot reach its uncovered count. With U uncovered points and budget b
       at the node, child i fails exactly when fresh_i < |U| - (b-1)*max_cov.
       Fresh coverage is non-increasing along the sorted children, so the
-      failing children form a suffix: the node computes fresh once per
-      candidate, sorts only the children that pass, and counts the rest in
-      one step after the passing children are exhausted;
+      failing children form a suffix: the node computes fresh for every
+      candidate in one popcount over their uint64 word rows and the node's
+      uncovered words, sorts only the children that pass, and counts the
+      rest in one step after the passing children are exhausted;
     - packing: walking the child's uncovered points in mask order and taking
       each one that shares no pool plane with a point already taken yields
       more than budget points. Every taken point needs a plane of its own,
@@ -212,7 +221,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     """
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
-    pool, cov = _pool_rows(n, config.coeff_bound, offset)
+    pool, words = _pool_rows(n, config.coeff_bound, offset)
     pool_size = len(pool)
 
     k_lo = lower_bound(n)
@@ -220,27 +229,32 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         # Vacuous by the lower bound: nothing of this size can exist.
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, 0, pool_size)
 
-    counts = [c.bit_count() for c in cov]
-    max_cov = max(counts, default=0)
+    # uncov[i]: the complement of plane i's covered set.
+    uncov = [~c for c in _ints(words)]
+    max_cov = int(np.bitwise_count(words).sum(axis=1).max(initial=0))
     width = 1 << n
     full = (1 << width) - 1
-    covering: list[list[int]] = [[] for _ in range(width)]
-    for i, c in enumerate(cov):
-        m = c
-        while m:
-            v = (m & -m).bit_length() - 1
-            covering[v].append(i)
-            m &= m - 1
-    # nbr[v]: v and every point sharing a pool plane with it.
-    nbr = [1 << v for v in range(width)]
-    for v, planes in enumerate(covering):
-        for i in planes:
-            nbr[v] |= cov[i]
-    roots = (
-        [i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)]
-        if config.canonical_first_plane
-        else None
-    )
+    # covering[v]: the pool indices of the planes covering v, ascending, and
+    # their word rows.
+    hit = np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little")
+    points, planes = np.nonzero(hit.T)
+    starts = np.searchsorted(points, np.arange(1, width))
+    covering = [(c, words[c]) for c in np.split(planes, starts)]
+    # unnbr[v + 1]: the complement of v and every point sharing a pool plane
+    # with it, indexed by the bit length of 1 << v.
+    unnbr = [0] + [
+        ~(1 << v | int.from_bytes(np.bitwise_or.reduce(w).tobytes(), "little"))
+        for v, (_, w) in enumerate(covering)
+    ]
+    roots = None
+    if config.canonical_first_plane:
+        r = np.array([i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)], dtype=np.intp)
+        roots = (r, words[r])
+    nbytes = words.shape[1] * 8
+    # Child i of a node gets the sort key i - fresh_i * 2^32: keys ascend as
+    # (-fresh_i, i) does, and fresh_i >= need exactly when the key is below
+    # (1 - need) * 2^32. The pool has fewer than 2^20 planes.
+    shift = np.full(words.shape[1], -(1 << 32), dtype=np.int64)
 
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     nodes = 0
@@ -258,32 +272,37 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
             packed += 1
             if packed > budget:
                 return False
-            rest &= ~nbr[(rest & -rest).bit_length() - 1]
+            rest &= unnbr[(rest & -rest).bit_length()]
         return True
 
     def expand(uncovered: int, budget: int) -> bool:
         """Branch at a node that passed both bounds; True when a cover lies
         below it, left on ``chosen``."""
         nonlocal nodes, next_check, timed_out
-        left = uncovered.bit_count()
         if chosen or roots is None:
-            cands = covering[(uncovered & -uncovered).bit_length() - 1]
+            cands, cand_words = covering[(uncovered & -uncovered).bit_length() - 1]
         else:
-            cands = roots
+            cands, cand_words = roots
+        left = uncovered.bit_count()
         # Counting bound: child i keeps left - fresh_i points for child_budget
         # planes, so it fails exactly when fresh_i < need.
         child_budget = budget - 1
         need = left - child_budget * max_cov
-        kids = sorted([(-f, i) for i in cands if (f := (cov[i] & uncovered).bit_count()) >= need])
-        for _, i in kids:
+        # One popcount per candidate word; the product with shift sums each
+        # candidate's words into its fresh coverage and makes its key.
+        uncovered_words = np.frombuffer(uncovered.to_bytes(nbytes, "little"), "<u8")
+        keys = np.bitwise_count(cand_words & uncovered_words) @ shift + cands
+        kids = np.sort(keys[keys < (1 - need) << 32]).tolist()
+        for key in kids:
             nodes += 1
             if nodes >= next_check:
                 if time.monotonic() > deadline:
                     timed_out = True
                     return False
                 next_check = nodes + _CHECK_EVERY
+            i = key & 0xFFFFFFFF
             chosen.append(i)
-            rest = uncovered & ~cov[i]
+            rest = uncovered & uncov[i]
             if not rest or (packs(rest, child_budget) and expand(rest, child_budget)):
                 return True
             chosen.pop()

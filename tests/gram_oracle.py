@@ -12,11 +12,16 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from skewcube.interpolation import _krawtchouk
 from skewcube.linalg import exact_nullity
 from skewcube.subsets import mask_of, subsets_colex
 
 PRIME = (1 << 31) - 1
+
+
+def krawtchouk(n: int, k: int, u: int) -> int:
+    """Sum of (-1)^|x & U| over the masks x of weight k, for any U of weight
+    u, as one binomial sum."""
+    return sum((-1) ** j * math.comb(u, j) * math.comb(n - u, k - j) for j in range(k + 1))
 
 
 def _echelon_modp(m: np.ndarray, p: int) -> np.ndarray:
@@ -86,7 +91,7 @@ def _gram(n: int, index_levels: range, summed_levels: range) -> np.ndarray:
         [mask_of(s) for k in index_levels for s in subsets_colex(n, k)], dtype=np.uint32
     )
     by_distance = np.array(
-        [sum(_krawtchouk(n, l, u) for l in summed_levels) for u in range(n + 1)],
+        [sum(krawtchouk(n, l, u) for l in summed_levels) for u in range(n + 1)],
         dtype=np.int64,
     )
     return by_distance[np.bitwise_count(masks[:, None] ^ masks[None, :])]

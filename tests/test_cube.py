@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,10 @@ def test_eval_dimension_mismatch():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         Hyperplane((1.0, 2), 0)
+    # a float anywhere, with int or Fraction neighbours, takes no fast path
+    for a, b in [((1, 0.5), 0), ((1, 2), 0.0), ((Fraction(1, 2), 1), 2.5)]:
+        with pytest.raises(TypeError, match="float"):
+            Hyperplane(a, b)
 
 
 def test_covers_odd_sum_never_zero():
@@ -403,6 +408,42 @@ def test_integerized_matches_fraction_arithmetic(values):
     assert a_int == tuple(int(c * den) for c in plane.a)
     assert b_int == int(plane.b * den)
     assert all(type(v) is int for v in (*a_int, b_int))
+
+
+def lcm_row(plane):
+    """The integer row by the lcm formula, read off the plane's fields."""
+    den = math.lcm(plane.b.denominator, *(c.denominator for c in plane.a))
+    return (
+        tuple(c.numerator * (den // c.denominator) for c in plane.a),
+        plane.b.numerator * (den // plane.b.denominator),
+        den,
+    )
+
+
+plane_inputs = st.one_of(
+    st.integers(-2000, 2000),
+    st.integers(-(1 << 70), 1 << 70),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.integers(-100, 100).map(np.int64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-2000, 2000), min_size=2, max_size=7) | st.lists(plane_inputs, min_size=2, max_size=7))
+def test_stored_row_matches_the_lcm_formula(values):
+    plane = Hyperplane(tuple(values[1:]), values[0])
+    assert all(type(c) is Fraction for c in (*plane.a, plane.b))
+    assert cube._integerized(plane) == lcm_row(plane)
+    # the row is no field: equality, hashing and repr ignore it
+    twin = Hyperplane(plane.a, plane.b)
+    object.__setattr__(twin, "_row", None)
+    assert twin == plane and hash(twin) == hash(plane) and repr(twin) == repr(plane)
+    clone = pickle.loads(pickle.dumps(plane))
+    assert clone == plane and hash(clone) == hash(plane) and repr(clone) == repr(plane)
+    assert cube._integerized(clone) == cube._integerized(plane)
+    # the shared int Fractions stay within their bound
+    assert cube._fraction.cache_info().currsize <= 1024
 
 
 def test_cube_point_range_without_building_two_to_the_n():

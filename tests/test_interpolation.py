@@ -19,6 +19,7 @@ from skewcube.cube import CubePoint
 from skewcube.fourier import inverse_wht, random_poly, w_set, wht
 from skewcube.interpolation import (
     InterpolationScheme,
+    _krawtchouk_column,
     _support_distribution,
     build_scheme,
     check_recovery_size,
@@ -342,6 +343,15 @@ def test_vanishing_dimension_full_degree_closed_form(n, m):
     # vanishing on W(m) are exactly the functions supported off it
     outside = 2**n - sum(math.comb(n, w) for w in range(0, n + 1, m))
     assert vanishing_dimension(n, m, n) == outside
+
+
+def test_krawtchouk_column_matches_the_binomial_sum():
+    from gram_oracle import krawtchouk
+
+    for n in range(31):
+        for u in range(n + 1):
+            assert _krawtchouk_column(n, u, n + 1) == [krawtchouk(n, t, u) for t in range(n + 1)], (n, u)
+            assert _krawtchouk_column(n, u, 1) == [1]
 
 
 def test_vanishing_dimension_matches_gram_oracle():

@@ -19,6 +19,7 @@ from skewcube.search import (
     SearchStatus,
     _canonical_root,
     _covered_bitsets,
+    _ints,
     _pool_rows,
     candidate_pool,
     greedy_cover,
@@ -142,9 +143,9 @@ def reference_pool(n, coeff_bound, offset_bound):
 def assert_pool_matches_reference(n, coeff_bound, offset):
     want = reference_pool(n, coeff_bound, offset)
     assert candidate_pool(n, coeff_bound, offset) == want
-    rows, cov = _pool_rows(n, coeff_bound, offset)
+    rows, words = _pool_rows(n, coeff_bound, offset)
     assert rows == [(p.a, p.b) for p in want]
-    assert cov == _covered_bitsets(want, n)
+    assert _ints(words) == _covered_bitsets(want, n)
 
 
 SMALL_POOLS = [
@@ -253,6 +254,18 @@ def test_greedy_with_doubling_pool():
 def test_greedy_never_beats_lower_bound():
     for n, pool in [(3, list(level_set_cover(3))), (5, list(power_of_two_cover(2)))]:
         assert len(greedy_cover(n, pool)) >= lower_bound(n)
+
+
+def test_greedy_with_rationally_rescaled_pool():
+    # every plane scaled by its own rational keeps its zero set, so greedy
+    # picks the same positions as on the integer pool
+    pool = candidate_pool(5, 2, 5)
+    scales = [Fraction((-1) ** i * (i % 7 + 1), i % 7 + 2) for i in range(len(pool))]
+    scaled = [Hyperplane(tuple(q * c for c in p.a), q * p.b) for p, q in zip(pool, scales)]
+    assert all(cube._integerized(p)[2] > 1 for p in scaled)
+    position = {p: i for i, p in enumerate(pool)}
+    want = tuple(scaled[position[p]] for p in greedy_cover(5, pool))
+    assert greedy_cover(5, scaled).planes == want
 
 
 def test_greedy_insufficient_pool():
@@ -434,6 +447,13 @@ def test_search_matches_reference(n, coeff_bound, canonical):
 @pytest.mark.parametrize("n, coeff_bound, offset, max_k", [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)])
 def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_k):
     cfg = SearchConfig(n=n, coeff_bound=coeff_bound, offset_bound=offset, max_k=max_k)
+    assert min_cover_search(cfg) == reference_search(cfg)
+
+
+@pytest.mark.parametrize("offset", [1, 3, 5, 7])
+def test_search_matches_reference_on_two_words(offset):
+    # 2^7 points take two words per bitset; B = 1 keeps the reference fast
+    cfg = SearchConfig(n=7, coeff_bound=1, offset_bound=offset, max_k=5)
     assert min_cover_search(cfg) == reference_search(cfg)
 
 
