@@ -234,22 +234,19 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     max_cov = int(np.bitwise_count(words).sum(axis=1).max(initial=0))
     width = 1 << n
     full = (1 << width) - 1
-    # covering[v]: the pool indices of the planes covering v, ascending, and
-    # their word rows.
-    hit = np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little")
-    points, planes = np.nonzero(hit.T)
-    starts = np.searchsorted(points, np.arange(1, width))
-    covering = [(c, words[c]) for c in np.split(planes, starts)]
+    # covering[v]: the pool indices of the planes covering v, ascending. Only
+    # indices are kept; a node gathers its candidates' word rows itself, so
+    # setup holds one copy of the words whatever the number of incidences.
+    covering = [np.flatnonzero(words[:, v >> 6] >> (v & 63) & 1) for v in range(width)]
     # unnbr[v + 1]: the complement of v and every point sharing a pool plane
     # with it, indexed by the bit length of 1 << v.
-    unnbr = [0] + [
-        ~(1 << v | int.from_bytes(np.bitwise_or.reduce(w).tobytes(), "little"))
-        for v, (_, w) in enumerate(covering)
-    ]
+    near = _ints(np.bitwise_or.reduce(words.take(c, 0)) for c in covering)
+    unnbr = [0] + [~(1 << v | m) for v, m in enumerate(near)]
     roots = None
     if config.canonical_first_plane:
-        r = np.array([i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)], dtype=np.intp)
-        roots = (r, words[r])
+        roots = np.array(
+            [i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)], dtype=np.intp
+        )
     nbytes = words.shape[1] * 8
     # Child i of a node gets the sort key i - fresh_i * 2^32: keys ascend as
     # (-fresh_i, i) does, and fresh_i >= need exactly when the key is below
@@ -280,9 +277,9 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         below it, left on ``chosen``."""
         nonlocal nodes, next_check, timed_out
         if chosen or roots is None:
-            cands, cand_words = covering[(uncovered & -uncovered).bit_length() - 1]
+            cands = covering[(uncovered & -uncovered).bit_length() - 1]
         else:
-            cands, cand_words = roots
+            cands = roots
         left = uncovered.bit_count()
         # Counting bound: child i keeps left - fresh_i points for child_budget
         # planes, so it fails exactly when fresh_i < need.
@@ -291,7 +288,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         # One popcount per candidate word; the product with shift sums each
         # candidate's words into its fresh coverage and makes its key.
         uncovered_words = np.frombuffer(uncovered.to_bytes(nbytes, "little"), "<u8")
-        keys = np.bitwise_count(cand_words & uncovered_words) @ shift + cands
+        keys = np.bitwise_count(words.take(cands, 0) & uncovered_words) @ shift + cands
         kids = np.sort(keys[keys < (1 - need) << 32]).tolist()
         for key in kids:
             nodes += 1

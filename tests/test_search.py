@@ -485,6 +485,23 @@ def test_time_budget_zero_times_out():
     assert 0 < out.nodes_explored < 16_611_067
 
 
+def test_search_setup_keeps_one_copy_of_the_words():
+    # n = 11, B = 1, offset 1: 2,048 planes of 32 words each and 946,176
+    # (plane, point) incidences. A word row copied per incidence would take
+    # 242 MB; the word matrix takes 0.5 MB and the index arrays 7.6 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = min_cover_search(SearchConfig(11, 1, 1, 11, time_budget=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status is SearchStatus.TIMEOUT
+    assert out.candidate_pool_size == 2048
+    assert peak < 64 << 20
+
+
 def test_clock_read_about_every_256_nodes(monkeypatch):
     import time
 
