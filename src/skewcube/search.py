@@ -16,7 +16,12 @@ rule is sound because each of those points needs a plane of its own. A node
 tests its children against both rules before recursing: one popcount over
 the word rows gives every child's fresh coverage, the counting rule cuts a
 suffix of the sorted children with no call, and the packing rule is tested
-on each child that survives it.
+on each child that survives it. Before either rule, a symmetry rule drops
+every child that is not the first of its orbit under the permutations of
+coordinates that fix the node (the lex-leader form of Crawford, Ginsberg,
+Luks and Roy 1996): the first member is the one the search tries first, and
+its mates hold a cover exactly when it does, so the rule changes node
+counts but never the status or the family found.
 Negative outcomes are always claims relative to the configured bounds, never
 unconditional nonexistence statements.
 """
@@ -168,10 +173,10 @@ def _ints(words) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
-def _covered_bitsets(pool: list[Hyperplane], n: int) -> list[int]:
-    """Per plane, the int whose bit m is set iff the plane covers mask m."""
+def _covered_words(pool: list[Hyperplane], n: int):
+    """The ``_bitsets`` word matrix of planes with any rational rows."""
     cube._check_exhaustive(n)
-    return _ints(_bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n))
+    return _bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
 
 
 def _canonical_root(a, b) -> bool:
@@ -184,11 +189,12 @@ def _canonical_root(a, b) -> bool:
 def min_cover_search(config: SearchConfig) -> SearchOutcome:
     """Iterative-deepening DFS for a cover of at most ``max_k`` pool planes.
 
-    At each node the lowest-mask uncovered point is selected and the branch
+    At each node the lowest-mask uncovered point v is selected and the branch
     runs over the pool planes covering it, ordered by descending fresh
     coverage (points of the node it newly covers) with pool order breaking
-    ties. A child is cut, before any call, by either of two lower bounds on
-    the planes still needed:
+    ties. Before any bound, the symmetry rule below drops every candidate
+    that is not the first of its orbit. A child is cut, before any call, by
+    either of two lower bounds on the planes still needed:
 
     - counting: the child's budget times the best single-plane coverage
       cannot reach its uncovered count. With U uncovered points and budget b
@@ -211,14 +217,54 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     coordinate permutations and sign flips, which is sound because the pool
     is closed under those symmetries.
 
+    Symmetry rule, at every node that branches on the planes covering v.
+    Coordinates 2..n fall into classes: j and j' share one when every chosen
+    plane has a_j = a_j' and v has the same bit at j and j'. Coordinate 1
+    stays alone, since every pool row has a_1 > 0. A candidate is kept only
+    when its coefficients are non-increasing along each class (a_j >= a_j'
+    for consecutive members j < j' of a class); the others are not generated
+    and not counted. This never changes the outcome:
+
+    - Let G be the group of permutations of coordinates within classes. The
+      pool is closed under G (parity, gcd, bounds, a_1 > 0 and covering a
+      point do not depend on the order of a_2..a_n), and G fixes every
+      chosen plane and v, hence the uncovered set U and the candidates, and
+      it preserves coverage: |Z(g p) & U| = |g (Z(p) & U)|. So the members
+      of an orbit of candidates have equal fresh coverage and pass or fail
+      the counting bound together.
+    - The pool index orders rows by (a_n, ..., a_1, b) lexicographically,
+      each coefficient ascending. G fixes a_1 and b, and the smallest row
+      in an orbit puts the smallest values of each class on its highest
+      coordinates, which is the one row non-increasing along every class.
+      Children are tried in (-fresh, index) order, so the kept member is
+      the first of its orbit that the DFS visits.
+    - The pool and the budget are G-invariant, so a family covers U \\ Z(p)
+      exactly when its image under g covers U \\ Z(g p): the subtree of an
+      orbit-mate holds a cover within the budget exactly when the kept
+      member's does. The bounds are sound and the rule, by induction on the
+      depth, removes no subtree that holds a cover, so the search below a
+      node finds a cover exactly when one exists.
+    - Hence a skipped child comes after its kept mate, which either returned
+      a cover, and the node never reached the skipped child, or returned
+      none, and the skipped child would have returned none as well. Status
+      and family are those of the search without the rule at every family
+      size k; only ``nodes_explored`` drops.
+
+    This is the lex-leader form of Crawford, Ginsberg, Luks and Roy (1996),
+    restricted to the node's stabiliser so that it keeps the first cover.
+
     ``nodes_explored`` counts every node generated: each root, and every
     child of a node that branched, whether it was cut by a bound before any
     call or recursed into. A cover found ends the count at its own node, so
     the children a node would have tried after it are not counted. Runs
     without a time budget are fully deterministic, including node counts.
-    With a budget the clock is read about every 256 nodes, and a run past its
-    deadline returns ``timeout``.
+    With a budget the clock starts before the pool is built (its size is
+    capped, so that step is bounded) and is read every 256 points while the
+    point tables are built and about every 256 nodes in the search; a run
+    past its deadline returns ``timeout``, with no node counted when it ends
+    during set-up.
     """
+    deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
     pool, words = _pool_rows(n, config.coeff_bound, offset)
@@ -237,11 +283,20 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     # covering[v]: the pool indices of the planes covering v, ascending. Only
     # indices are kept; a node gathers its candidates' word rows itself, so
     # setup holds one copy of the words whatever the number of incidences.
-    covering = [np.flatnonzero(words[:, v >> 6] >> (v & 63) & 1) for v in range(width)]
+    # near[v]: the words of every point sharing a pool plane with v.
+    covering, near = [], []
+    for v in range(width):
+        c = np.flatnonzero(words[:, v >> 6] >> (v & 63) & 1)
+        covering.append(c)
+        near.append(np.bitwise_or.reduce(words.take(c, 0)))
+        if deadline is not None and v % _CHECK_EVERY == _CHECK_EVERY - 1:
+            if time.monotonic() > deadline:
+                return SearchOutcome(SearchStatus.TIMEOUT, None, 0, pool_size)
     # unnbr[v + 1]: the complement of v and every point sharing a pool plane
     # with it, indexed by the bit length of 1 << v.
-    near = _ints(np.bitwise_or.reduce(words.take(c, 0)) for c in covering)
-    unnbr = [0] + [~(1 << v | m) for v, m in enumerate(near)]
+    unnbr = [0] + [~(1 << v | m) for v, m in enumerate(_ints(near))]
+    # The coefficient rows as one matrix, for the symmetry rule's compare.
+    coeffs = np.array([a for a, _ in pool], dtype=np.int64).reshape(pool_size, n)
     roots = None
     if config.canonical_first_plane:
         roots = np.array(
@@ -253,7 +308,6 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     # (1 - need) * 2^32. The pool has fewer than 2^20 planes.
     shift = np.full(words.shape[1], -(1 << 32), dtype=np.int64)
 
-    deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     nodes = 0
     # Cut children are counted in bulk, so ``nodes`` can step over any fixed
     # multiple; the clock is read once ``nodes`` reaches this threshold.
@@ -272,12 +326,30 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
             rest &= unnbr[(rest & -rest).bit_length()]
         return True
 
+    def first_of_orbits(cands, v: int):
+        # The symmetry rule: consecutive members lo < hi of each class of
+        # coordinates 2..n, a class being one column of the chosen planes'
+        # coefficients and v's bits; keep the rows with a_lo >= a_hi.
+        columns = zip(*(pool[i][0] for i in chosen), [v >> j & 1 for j in range(n)])
+        next(columns)  # coordinate 1 is a class of its own
+        last, lo, hi = {}, [], []
+        for j, column in enumerate(columns, 1):
+            if column in last:
+                lo.append(last[column])
+                hi.append(j)
+            last[column] = j
+        if not lo:
+            return cands
+        sub = coeffs.take(cands, 0)
+        return cands[(sub[:, lo] >= sub[:, hi]).all(axis=1)]
+
     def expand(uncovered: int, budget: int) -> bool:
         """Branch at a node that passed both bounds; True when a cover lies
         below it, left on ``chosen``."""
         nonlocal nodes, next_check, timed_out
         if chosen or roots is None:
-            cands = covering[(uncovered & -uncovered).bit_length() - 1]
+            v = (uncovered & -uncovered).bit_length() - 1
+            cands = first_of_orbits(covering[v], v)
         else:
             cands = roots
         left = uncovered.bit_count()
@@ -335,20 +407,17 @@ def greedy_cover(n: int, pool) -> CoverFamily:
     for p in planes:
         if p.n != n:
             raise DimensionMismatch(f"pool plane has n={p.n}, expected {n}")
-    cov = _covered_bitsets(planes, n)
-    full = (1 << (1 << n)) - 1
-    covered = 0
+    words = _covered_words(planes, n)
+    covered = np.zeros(words.shape[1], dtype=words.dtype)
+    left = 1 << n
     chosen: list[int] = []
-    while covered != full:
-        best = None
-        best_gain = 0
-        for i, c in enumerate(cov):
-            gain = (c & ~covered & full).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
-        if best is None:
-            missing = (full & ~covered).bit_count()
-            raise PoolInsufficient(f"pool leaves {missing} points uncovered")
+    while left:
+        # argmax takes the first largest gain: the earliest pool position.
+        gains = np.bitwise_count(words & ~covered).sum(axis=1)
+        best = int(gains.argmax())
+        if not gains[best]:
+            raise PoolInsufficient(f"pool leaves {left} points uncovered")
         chosen.append(best)
-        covered |= cov[best]
+        covered |= words[best]
+        left -= int(gains[best])
     return CoverFamily(tuple(planes[i] for i in chosen))

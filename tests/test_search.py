@@ -18,7 +18,7 @@ from skewcube.search import (
     SearchOutcome,
     SearchStatus,
     _canonical_root,
-    _covered_bitsets,
+    _covered_words,
     _ints,
     _pool_rows,
     candidate_pool,
@@ -28,6 +28,11 @@ from skewcube.search import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def covered_bitsets(pool, n):
+    """Per plane, the int whose bit m is set iff the plane covers mask m."""
+    return _ints(_covered_words(pool, n))
 
 
 def test_lower_bound_values():
@@ -145,7 +150,7 @@ def assert_pool_matches_reference(n, coeff_bound, offset):
     assert candidate_pool(n, coeff_bound, offset) == want
     rows, words = _pool_rows(n, coeff_bound, offset)
     assert rows == [(p.a, p.b) for p in want]
-    assert _ints(words) == _covered_bitsets(want, n)
+    assert _ints(words) == covered_bitsets(want, n)
 
 
 SMALL_POOLS = [
@@ -268,6 +273,45 @@ def test_greedy_with_rationally_rescaled_pool():
     assert greedy_cover(5, scaled).planes == want
 
 
+def reference_greedy(n, pool):
+    """Greedy as first written: one Python loop over the pool's int bitsets
+    per pick, the first largest gain winning."""
+    cov = covered_bitsets(pool, n)
+    full = (1 << (1 << n)) - 1
+    covered = 0
+    chosen = []
+    while covered != full:
+        best, best_gain = None, 0
+        for i, c in enumerate(cov):
+            gain = (c & ~covered & full).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best is None:
+            raise PoolInsufficient(f"pool leaves {(full & ~covered).bit_count()} points uncovered")
+        chosen.append(best)
+        covered |= cov[best]
+    return CoverFamily(tuple(pool[i] for i in chosen))
+
+
+# (6, 2, 6) and every fifth small pool past n = 1
+GREEDY_POOLS = [(6, 2, 6), *[cfg for cfg in SMALL_POOLS if cfg[0] > 1][::5]]
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset", GREEDY_POOLS)
+def test_greedy_matches_the_loop_over_int_bitsets(n, coeff_bound, offset):
+    whole = candidate_pool(n, coeff_bound, offset)
+    # reversed, the pool breaks ties the other way; its first third may
+    # leave points uncovered
+    for pool in filter(None, (whole, whole[::-1], whole[: len(whole) // 3])):
+        try:
+            want = reference_greedy(n, pool)
+        except PoolInsufficient as exc:
+            with pytest.raises(PoolInsufficient, match=str(exc)):
+                greedy_cover(n, pool)
+        else:
+            assert greedy_cover(n, pool) == want
+
+
 def test_greedy_insufficient_pool():
     with pytest.raises(PoolInsufficient):
         greedy_cover(2, [Hyperplane((1, 1), 0)])
@@ -298,7 +342,7 @@ def test_search_matches_brute_force(n, coeff_bound, canonical):
     max_k = n + 1
     for offset in range(n + 1):
         pool = candidate_pool(n, coeff_bound, offset)
-        want = brute_min_cover_size(_covered_bitsets(pool, n), n, max_k)
+        want = brute_min_cover_size(covered_bitsets(pool, n), n, max_k)
         out = min_cover_search(
             SearchConfig(
                 n=n,
@@ -344,12 +388,12 @@ def rational_pools(draw, max_n=6):
 @given(rational_pools(), st.integers(1 << 63, 1 << 90))
 def test_covered_bitsets_match_covered_set(n_pool, scale):
     n, pool = n_pool
-    assert _covered_bitsets(pool, n) == bitsets_from_covered_set(pool)
+    assert covered_bitsets(pool, n) == bitsets_from_covered_set(pool)
     # scaling every plane by >= 2^63 keeps its zero set and takes the
     # object-dtype branch of the evaluator
     big = [Hyperplane(tuple(scale * c for c in p.a), scale * p.b) for p in pool]
     assert not pool or not cube._int64_safe([cube._integerized(p) for p in big])
-    assert _covered_bitsets(big, n) == bitsets_from_covered_set(pool)
+    assert covered_bitsets(big, n) == bitsets_from_covered_set(pool)
 
 
 def test_covered_bitsets_across_chunks():
@@ -363,16 +407,33 @@ def test_covered_bitsets_across_chunks():
     want = bitsets_from_covered_set(pool)
     low = (1 << (1 << 18)) - 1
     assert all(w & low and w & ~low for w in want)  # both chunks contribute
-    assert _covered_bitsets(pool, n) == want
-    assert _covered_bitsets(big, n) == want
+    assert covered_bitsets(pool, n) == want
+    assert covered_bitsets(big, n) == want
 
 
-def reference_search(config):
+def first_of_orbit(a, chosen, v):
+    """The symmetry rule, pair by pair: every two coordinates j < j' (both
+    past the first) on which each chosen row agrees and v's bits agree must
+    have a_j >= a_j'."""
+    n = len(a)
+    same = [
+        (j, k)
+        for j in range(1, n)
+        for k in range(j + 1, n)
+        if v >> j & 1 == v >> k & 1 and all(row[j] == row[k] for row in chosen)
+    ]
+    return all(a[j] >= a[k] for j, k in same)
+
+
+def reference_search(config, symmetry=True):
     """The search with one recursive call per child, bounds tested on entry.
 
     Same pool, bitsets, branching order and bounds as ``min_cover_search``,
     with every child a call of its own that counts itself and then tests
-    the counting and packing bounds. No time budget.
+    the counting and packing bounds. No time budget. With ``symmetry`` the
+    children of a node branching on v are those ``first_of_orbit`` keeps,
+    as in ``min_cover_search``; without it every plane covering v is a
+    child, as in the search before the rule.
     """
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
@@ -380,7 +441,7 @@ def reference_search(config):
     k_lo = lower_bound(n)
     if config.max_k < k_lo:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, 0, len(pool))
-    cov = _covered_bitsets(pool, n)
+    cov = covered_bitsets(pool, n)
     max_cov = max((c.bit_count() for c in cov), default=0)
     width = 1 << n
     full = (1 << width) - 1
@@ -412,6 +473,9 @@ def reference_search(config):
         else:
             v = (uncovered & -uncovered).bit_length() - 1
             cands = covering[v]
+            if symmetry:
+                rows = [pool[c].a for c in chosen]
+                cands = [i for i in cands if first_of_orbit(pool[i].a, rows, v)]
         for i in sorted(cands, key=lambda i: (-(cov[i] & uncovered).bit_count(), i)):
             res = dfs(covered | cov[i], chosen + [i], budget - 1)
             if res is not None:
@@ -426,25 +490,34 @@ def reference_search(config):
     return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, nodes, len(pool))
 
 
-@pytest.mark.parametrize("canonical", [True, False])
-@pytest.mark.parametrize(
-    "n, coeff_bound",
-    [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)],
-)
-def test_search_matches_reference(n, coeff_bound, canonical):
+REFERENCE_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+
+
+def reference_configs(n, coeff_bound, canonical):
     # offsets past coeff_bound * n give the same pool
     for offset in range(coeff_bound * n + 1):
-        cfg = SearchConfig(
+        yield SearchConfig(
             n=n,
             coeff_bound=coeff_bound,
             offset_bound=offset,
             max_k=n + 1,
             canonical_first_plane=canonical,
         )
-        assert min_cover_search(cfg) == reference_search(cfg), (n, coeff_bound, offset)
 
 
-@pytest.mark.parametrize("n, coeff_bound, offset, max_k", [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)])
+BENCHMARK_SEARCHES = [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)]
+# 2^7 points take two words per bitset; B = 1 keeps the reference fast
+TWO_WORD_SEARCHES = [(7, 1, offset, 5) for offset in (1, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("n, coeff_bound", REFERENCE_SIZES)
+def test_search_matches_reference(n, coeff_bound, canonical):
+    for cfg in reference_configs(n, coeff_bound, canonical):
+        assert min_cover_search(cfg) == reference_search(cfg), cfg
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset, max_k", BENCHMARK_SEARCHES)
 def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_k):
     cfg = SearchConfig(n=n, coeff_bound=coeff_bound, offset_bound=offset, max_k=max_k)
     assert min_cover_search(cfg) == reference_search(cfg)
@@ -452,9 +525,38 @@ def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_
 
 @pytest.mark.parametrize("offset", [1, 3, 5, 7])
 def test_search_matches_reference_on_two_words(offset):
-    # 2^7 points take two words per bitset; B = 1 keeps the reference fast
     cfg = SearchConfig(n=7, coeff_bound=1, offset_bound=offset, max_k=5)
     assert min_cover_search(cfg) == reference_search(cfg)
+
+
+def assert_same_answer_without_the_rule(cfg):
+    out, want = min_cover_search(cfg), reference_search(cfg, symmetry=False)
+    assert (out.status, out.family, out.candidate_pool_size) == (
+        want.status,
+        want.family,
+        want.candidate_pool_size,
+    ), cfg
+    # the rule only removes children, so it never adds a node
+    assert out.nodes_explored <= want.nodes_explored, cfg
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("n, coeff_bound", REFERENCE_SIZES)
+def test_symmetry_rule_keeps_status_and_family(n, coeff_bound, canonical):
+    for cfg in reference_configs(n, coeff_bound, canonical):
+        assert_same_answer_without_the_rule(cfg)
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset, max_k", BENCHMARK_SEARCHES + TWO_WORD_SEARCHES)
+def test_symmetry_rule_keeps_status_and_family_on_larger_pools(n, coeff_bound, offset, max_k):
+    assert_same_answer_without_the_rule(SearchConfig(n, coeff_bound, offset, max_k))
+
+
+def test_n7_b1_six_planes_exhausts_in_a_tenth_of_the_nodes():
+    # 64,442,058 nodes without the symmetry rule
+    out = min_cover_search(SearchConfig(7, 1, 7, 6))
+    assert out.status is SearchStatus.EXHAUSTED_NO_COVER
+    assert out.nodes_explored < 6_444_205
 
 
 def test_golden_n5_found_cover():
@@ -477,12 +579,12 @@ def test_golden_n5_found_cover():
 
 
 def test_time_budget_zero_times_out():
-    # 16,611,067 nodes without a budget; cut children are counted in bulk,
+    # 623,342 nodes without a budget; cut children are counted in bulk,
     # so the clock must be read on a threshold, not on multiples of 256
     out = min_cover_search(SearchConfig(6, 2, 6, 5, time_budget=0))
     assert out.status is SearchStatus.TIMEOUT
     assert out.family is None
-    assert 0 < out.nodes_explored < 16_611_067
+    assert 0 < out.nodes_explored < 623_342
 
 
 def test_search_setup_keeps_one_copy_of_the_words():
@@ -509,9 +611,23 @@ def test_clock_read_about_every_256_nodes(monkeypatch):
     reads = []
     monkeypatch.setattr(time, "monotonic", lambda: reads.append(None) or real())
     out = min_cover_search(SearchConfig(5, 2, 5, 4, time_budget=float("inf")))
-    assert out.nodes_explored == 1_036_356
-    # reads on multiples of 256 alone would see 27 of them here
+    assert out.nodes_explored == 74_756
+    # reads on multiples of 256 alone would see 2 of them here
     assert len(reads) >= out.nodes_explored // 1024
+
+
+def test_time_budget_bounds_the_set_up(monkeypatch):
+    # n = 11 has 2,048 points. The clock starts at 0 and gains 1 s per
+    # read, so a 3 s budget has passed at the fourth read after the start,
+    # which comes after 1,024 points of the point tables and before any
+    # node: the search reads the clock while it builds them.
+    import time
+
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    out = min_cover_search(SearchConfig(11, 1, 1, 11, time_budget=3))
+    assert out == SearchOutcome(SearchStatus.TIMEOUT, None, 0, 2048)
+    assert next(ticks) == 1 + 1024 // 256
 
 
 @pytest.mark.parametrize("budget", [-1, -1e-9, float("nan"), float("-inf")])
