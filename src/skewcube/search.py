@@ -283,18 +283,18 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     # covering[v]: the pool indices of the planes covering v, ascending. Only
     # indices are kept; a node gathers its candidates' word rows itself, so
     # setup holds one copy of the words whatever the number of incidences.
-    # near[v]: the words of every point sharing a pool plane with v.
+    # near[v]: the mask of every point sharing a pool plane with v.
     covering, near = [], []
     for v in range(width):
         c = np.flatnonzero(words[:, v >> 6] >> (v & 63) & 1)
         covering.append(c)
-        near.append(np.bitwise_or.reduce(words.take(c, 0)))
+        near.append(int.from_bytes(np.bitwise_or.reduce(words.take(c, 0)).tobytes(), "little"))
         if deadline is not None and v % _CHECK_EVERY == _CHECK_EVERY - 1:
             if time.monotonic() > deadline:
                 return SearchOutcome(SearchStatus.TIMEOUT, None, 0, pool_size)
     # unnbr[v + 1]: the complement of v and every point sharing a pool plane
     # with it, indexed by the bit length of 1 << v.
-    unnbr = [0] + [~(1 << v | m) for v, m in enumerate(_ints(near))]
+    unnbr = [0] + [~(1 << v | m) for v, m in enumerate(near)]
     # The coefficient rows as one matrix, for the symmetry rule's compare.
     coeffs = np.array([a for a, _ in pool], dtype=np.int64).reshape(pool_size, n)
     roots = None

@@ -490,45 +490,6 @@ def reference_search(config, symmetry=True):
     return SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, nodes, len(pool))
 
 
-REFERENCE_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
-
-
-def reference_configs(n, coeff_bound, canonical):
-    # offsets past coeff_bound * n give the same pool
-    for offset in range(coeff_bound * n + 1):
-        yield SearchConfig(
-            n=n,
-            coeff_bound=coeff_bound,
-            offset_bound=offset,
-            max_k=n + 1,
-            canonical_first_plane=canonical,
-        )
-
-
-BENCHMARK_SEARCHES = [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)]
-# 2^7 points take two words per bitset; B = 1 keeps the reference fast
-TWO_WORD_SEARCHES = [(7, 1, offset, 5) for offset in (1, 3, 5, 7)]
-
-
-@pytest.mark.parametrize("canonical", [True, False])
-@pytest.mark.parametrize("n, coeff_bound", REFERENCE_SIZES)
-def test_search_matches_reference(n, coeff_bound, canonical):
-    for cfg in reference_configs(n, coeff_bound, canonical):
-        assert min_cover_search(cfg) == reference_search(cfg), cfg
-
-
-@pytest.mark.parametrize("n, coeff_bound, offset, max_k", BENCHMARK_SEARCHES)
-def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_k):
-    cfg = SearchConfig(n=n, coeff_bound=coeff_bound, offset_bound=offset, max_k=max_k)
-    assert min_cover_search(cfg) == reference_search(cfg)
-
-
-@pytest.mark.parametrize("offset", [1, 3, 5, 7])
-def test_search_matches_reference_on_two_words(offset):
-    cfg = SearchConfig(n=7, coeff_bound=1, offset_bound=offset, max_k=5)
-    assert min_cover_search(cfg) == reference_search(cfg)
-
-
 def assert_same_answer_without_the_rule(cfg):
     out, want = min_cover_search(cfg), reference_search(cfg, symmetry=False)
     assert (out.status, out.family, out.candidate_pool_size) == (
@@ -541,15 +502,36 @@ def assert_same_answer_without_the_rule(cfg):
 
 
 @pytest.mark.parametrize("canonical", [True, False])
-@pytest.mark.parametrize("n, coeff_bound", REFERENCE_SIZES)
-def test_symmetry_rule_keeps_status_and_family(n, coeff_bound, canonical):
-    for cfg in reference_configs(n, coeff_bound, canonical):
+@pytest.mark.parametrize(
+    "n, coeff_bound", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+)
+def test_search_matches_reference(n, coeff_bound, canonical):
+    # offsets past coeff_bound * n give the same pool
+    for offset in range(coeff_bound * n + 1):
+        cfg = SearchConfig(
+            n=n,
+            coeff_bound=coeff_bound,
+            offset_bound=offset,
+            max_k=n + 1,
+            canonical_first_plane=canonical,
+        )
+        assert min_cover_search(cfg) == reference_search(cfg), (n, coeff_bound, offset)
         assert_same_answer_without_the_rule(cfg)
 
 
-@pytest.mark.parametrize("n, coeff_bound, offset, max_k", BENCHMARK_SEARCHES + TWO_WORD_SEARCHES)
-def test_symmetry_rule_keeps_status_and_family_on_larger_pools(n, coeff_bound, offset, max_k):
-    assert_same_answer_without_the_rule(SearchConfig(n, coeff_bound, offset, max_k))
+@pytest.mark.parametrize("n, coeff_bound, offset, max_k", [(5, 2, 5, 4), (6, 2, 0, 5), (6, 1, 6, 5)])
+def test_search_matches_reference_benchmark_configs(n, coeff_bound, offset, max_k):
+    cfg = SearchConfig(n=n, coeff_bound=coeff_bound, offset_bound=offset, max_k=max_k)
+    assert min_cover_search(cfg) == reference_search(cfg)
+    assert_same_answer_without_the_rule(cfg)
+
+
+@pytest.mark.parametrize("offset", [1, 3, 5, 7])
+def test_search_matches_reference_on_two_words(offset):
+    # 2^7 points take two words per bitset; B = 1 keeps the reference fast
+    cfg = SearchConfig(n=7, coeff_bound=1, offset_bound=offset, max_k=5)
+    assert min_cover_search(cfg) == reference_search(cfg)
+    assert_same_answer_without_the_rule(cfg)
 
 
 def test_n7_b1_six_planes_exhausts_in_a_tenth_of_the_nodes():
@@ -587,20 +569,29 @@ def test_time_budget_zero_times_out():
     assert 0 < out.nodes_explored < 623_342
 
 
-def test_search_setup_keeps_one_copy_of_the_words():
+def test_search_setup_keeps_one_copy_of_the_words(monkeypatch):
     # n = 11, B = 1, offset 1: 2,048 planes of 32 words each and 946,176
     # (plane, point) incidences. A word row copied per incidence would take
     # 242 MB; the word matrix takes 0.5 MB and the index arrays 7.6 MB.
+    # The clock starts at 0 and gains 1 s per read, and the budget is the
+    # 8 set-up reads: the whole point table is built, and the search times
+    # out at its first read of the clock.
+    import time
     import tracemalloc
 
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
     tracemalloc.start()
     try:
-        out = min_cover_search(SearchConfig(11, 1, 1, 11, time_budget=0))
+        out = min_cover_search(SearchConfig(11, 1, 1, 11, time_budget=2048 // 256))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.status is SearchStatus.TIMEOUT
     assert out.candidate_pool_size == 2048
+    assert out.nodes_explored > 0
+    # the start, the set-up reads and the search's one read
+    assert next(ticks) == 1 + 2048 // 256 + 1
     assert peak < 64 << 20
 
 
