@@ -16,13 +16,15 @@ and power_of_two_cover(m) 4^m. A family with no repeated column has 2^n
 class points, one per mask. covered_set returns the points themselves, so
 it stays capped at n <= 24.
 
-Both run through one vectorized evaluator over a mixed-radix grid (radix
-s_c + 1 for the class points, 2 for masks), chunk by chunk over aligned
-index ranges. It builds the sums of the low digits for blocks of planes (at
-most 2^chunk_bits cells), once per block, and compares each plane's with
-its per-chunk target. Its arrays are int64 when the scaled integer values
-fit comfortably and Python ints otherwise, so no input changes the
-exactness of the answer.
+Both run through one vectorized evaluator, _zero_hits, over a mixed-radix
+grid (radix s_c + 1 for the class points, 2 for masks), chunk by chunk over
+aligned index ranges. It builds the sums of the low digits for blocks of
+planes (at most 2^chunk_bits cells), once per block, and compares each
+plane's with its per-chunk target. It has two consumers: verify_cover's
+range jobs sum weighted counts, and _bitsets packs each plane's covered
+masks into uint64 words, which covered_set unpacks and the search runs on.
+Its arrays are int64 when the scaled integer values fit comfortably and
+Python ints otherwise, so no input changes the exactness of the answer.
 """
 
 from __future__ import annotations
@@ -202,12 +204,6 @@ def _check_exhaustive(n: int) -> None:
         raise DimensionTooLarge(f"n={n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
 
 
-def _chunk_ranges(n: int, chunk_bits: int):
-    size = 1 << min(n, chunk_bits)
-    for lo in range(0, 1 << n, size):
-        yield lo, lo + size
-
-
 def _int64_safe(planes_int) -> bool:
     return all(
         4 * (abs(b) + sum(abs(c) for c in a)) < _INT64_LIMIT for a, b, _ in planes_int
@@ -245,7 +241,9 @@ def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
     in the dtype of a and b. Each block builds its low sums once, by shifted
     adds, and compares them with the target of every chunk in turn. flat
     indexes the block's planes x offsets row-major, so it ascends by plane,
-    then offset. [lo, hi) must be a whole number of chunks.
+    then offset. [lo, hi) must be a whole number of chunks. Its consumers are
+    _verify_range_job (weighted counts over the class grid) and _bitsets
+    (packed covered masks).
     """
     low, width = _layout(radix, chunk_bits)
     full = b + a @ (radix - 1)
@@ -270,22 +268,23 @@ def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
             yield block, k, np.flatnonzero(sums == targets[:, k, None])
 
 
-def _chunk_zero_offsets(a, b, n: int, lo: int, hi: int, chunk_bits: int = _CHUNK_BITS):
-    """Per plane, the offsets i within the chunk [lo, hi) of _chunk_ranges
-    where it vanishes at mask lo + i.
-
-    Returns (counts, offsets): plane i's counts[i] ascending offsets follow
-    those of the planes before it.
-    """
+def _bitsets(a, b, n: int, chunk_bits: int = _CHUNK_BITS):
+    """Per integer plane row of (a, b), its covered masks as a row of
+    max(1, 2^n / 64) little-endian uint64 words: bit m % 64 of word m // 64
+    is set iff the plane covers mask m. Below n = 6 the one word is padded
+    with zeros. Each (block, chunk) of _zero_hits is packed as it arrives, so
+    beside the words only one chunk's cells are held; a chunk is therefore
+    the whole cube or a whole number of words."""
     radix = np.full(n, 2)
     width = _layout(radix, chunk_bits)[1]
-    counts = np.zeros(len(b), dtype=np.intp)
-    offsets = [np.empty(0, dtype=np.intp)]
-    for block, _, flat in _zero_hits(a, b, radix, lo, hi, chunk_bits):
-        starts = np.arange(block.size + 1) * width
-        counts[block] = np.diff(np.searchsorted(flat, starts))
-        offsets.append(flat - np.repeat(starts[:-1], counts[block]))
-    return counts, np.concatenate(offsets)
+    assert width == 1 << n or width % 64 == 0, "a chunk must be the cube or whole words"
+    out = np.zeros((len(b), max(8, (1 << n) >> 3)), dtype=np.uint8)
+    for block, k, flat in _zero_hits(a, b, radix, 0, 1 << n, chunk_bits):
+        hit = np.zeros((block.size, width), dtype=bool)
+        hit.ravel()[flat] = True
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        out[block, k * packed.shape[1] : (k + 1) * packed.shape[1]] = packed
+    return out.view("<u8")
 
 
 def _coordinate_classes(a) -> tuple[list[int], list[int], int]:
@@ -395,12 +394,9 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     if nn != plane.n:
         raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
     _check_exhaustive(nn)
-    a, b = _plane_arrays([_integerized(plane)], nn)
-    points: set[CubePoint] = set()
-    for lo, hi in _chunk_ranges(nn, _CHUNK_BITS):
-        _, offsets = _chunk_zero_offsets(a, b, nn, lo, hi)
-        points.update(CubePoint(lo + int(i), nn) for i in offsets)
-    return points
+    words = _bitsets(*_plane_arrays([_integerized(plane)], nn), nn)
+    hit = np.unpackbits(words[0].view(np.uint8), count=1 << nn, bitorder="little")
+    return {CubePoint(m, nn) for m in np.flatnonzero(hit).tolist()}
 
 
 def verify_cover(

@@ -2,7 +2,7 @@
 
 The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
-and do somewhere by one capped pass of the cube evaluator, and orders them
+and do somewhere by one capped pass of ``cube._bitsets``, and orders them
 canonically. The same pass gives the search its bitsets, one row of uint64
 words per plane. The cover search is depth-first branch and bound with
 iterative deepening on the family size, starting at the proven lower bound
@@ -124,7 +124,8 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
 def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     """The pool's integer rows (a, b) in colex order and their bitsets: the raw
     grid, numbered with b fastest, then a_1..a_n, is decoded, masked by parity
-    and gcd and evaluated in slices of at most 2^_CHUNK_BITS cells."""
+    and gcd and handed to ``cube._bitsets`` in slices of at most
+    2^_CHUNK_BITS cells."""
     if n < 1:
         raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
@@ -150,22 +151,11 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
         cols, b = [c[even] for c in cols], b[even]
         keep = np.gcd.reduce([*cols, b]) == 1
         a, b = np.stack(cols, axis=1)[keep], b[keep]
-        packed = _bitsets(a, b, n)
+        packed = cube._bitsets(a, b, n)
         hits = packed.any(axis=1)
         rows += zip(map(tuple, a[hits].tolist()), b[hits].tolist())
         words.append(packed[hits])
     return rows, np.concatenate(words)
-
-
-def _bitsets(a, b, n: int):
-    """Per integer plane row, its covered masks as a row of max(1, 2^n / 64)
-    little-endian uint64 words: bit m % 64 of word m // 64 is set iff the
-    plane covers mask m. Below n = 6 the one word is padded with zeros."""
-    hit = np.zeros((len(b), max(64, 1 << n)), dtype=bool)
-    for lo, hi in cube._chunk_ranges(n, cube._CHUNK_BITS):
-        counts, offsets = cube._chunk_zero_offsets(a, b, n, lo, hi)
-        hit[:, lo:hi][np.repeat(np.arange(len(b)), counts), offsets] = True
-    return np.packbits(hit, axis=1, bitorder="little").view("<u8")
 
 
 def _ints(words) -> list[int]:
@@ -174,9 +164,9 @@ def _ints(words) -> list[int]:
 
 
 def _covered_words(pool: list[Hyperplane], n: int):
-    """The ``_bitsets`` word matrix of planes with any rational rows."""
+    """The ``cube._bitsets`` word matrix of planes with any rational rows."""
     cube._check_exhaustive(n)
-    return _bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
+    return cube._bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
 
 
 def _canonical_root(a, b) -> bool:

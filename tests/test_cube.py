@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewcube import cube
 from skewcube.cube import (
@@ -323,8 +323,17 @@ def block_families(draw):
     return CoverFamily(tuple(planes)), draw(st.integers(n + 1, n + 3))
 
 
+# n = 8 with chunk_bits 6 splits the cube into four chunks of one 64-bit
+# word each, one plane per block, so each chunk's word offset is checked.
+WORD_CHUNKS = CoverFamily(
+    tuple(Hyperplane((1,) * 8, b) for b in (-4, 0, 2))
+    + (Hyperplane((1, 2, 3, 4, -1, -2, -3, -4), 0), Hyperplane((1, -1, 2, -2, 3, -3, 1, 1), 2))
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(block_families(), st.integers(1 << 63, 1 << 90))
+@example((WORD_CHUNKS, 6), 1 << 63)
 def test_plane_blocks_match_bruteforce(family_bits, scale):
     # chunk_bits above n puts 2 to 8 planes in one block of the single
     # chunk, so block boundaries fall inside the family; the scaled copy
@@ -336,9 +345,12 @@ def test_plane_blocks_match_bruteforce(family_bits, scale):
     for fam, dtype in ((family, np.int64), (scaled(family, [scale] * len(family)), object)):
         a, b = cube._plane_arrays([cube._integerized(p) for p in fam], n)
         assert a.dtype == dtype
-        counts, offsets = cube._chunk_zero_offsets(a, b, n, 0, 1 << n, chunk_bits)
-        planes = np.repeat(np.arange(len(fam)), counts)
-        assert list(zip(planes.tolist(), offsets.tolist())) == want_pairs
+        words = cube._bitsets(a, b, n, chunk_bits)
+        assert words.shape == (len(fam), max(1, (1 << n) // 64))
+        hit = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert not hit[:, 1 << n :].any()  # the padding of n < 6 stays clear
+        planes, masks = np.nonzero(hit)
+        assert list(zip(planes.tolist(), masks.tolist())) == want_pairs
         assert verify_cover(fam, chunk_bits=chunk_bits) == want
 
 

@@ -359,14 +359,23 @@ def test_search_matches_brute_force(n, coeff_bound, canonical):
             assert len(out.family) == want, (n, coeff_bound, offset)
 
 
-def bitsets_from_covered_set(pool):
+def brute_bitsets(pool):
+    """Independent oracle: per plane, the int whose bit m is set iff a.x + b
+    vanishes at mask m. The plane is scaled to integers by the lcm of its
+    denominators, and its values at all masks are built by doubling: the
+    masks with bit j set take the values of those without it, less 2 a_j."""
     out = []
     for plane in pool:
-        bits = 0
-        for pt in covered_set(plane):
-            bits |= 1 << pt.bits
-        out.append(bits)
+        den = math.lcm(plane.b.denominator, *(c.denominator for c in plane.a))
+        vals = np.array([int((sum(plane.a) + plane.b) * den)], dtype=object)
+        for c in plane.a:
+            vals = np.concatenate([vals, vals - int(2 * c * den)])
+        out.append(int.from_bytes(np.packbits(vals == 0, bitorder="little").tobytes(), "little"))
     return out
+
+
+def bits_of_covered_set(plane):
+    return sum(1 << pt.bits for pt in covered_set(plane))
 
 
 small_rational = st.builds(
@@ -388,12 +397,15 @@ def rational_pools(draw, max_n=6):
 @given(rational_pools(), st.integers(1 << 63, 1 << 90))
 def test_covered_bitsets_match_covered_set(n_pool, scale):
     n, pool = n_pool
-    assert covered_bitsets(pool, n) == bitsets_from_covered_set(pool)
+    want = brute_bitsets(pool)
+    assert covered_bitsets(pool, n) == want
+    assert [bits_of_covered_set(p) for p in pool] == want
     # scaling every plane by >= 2^63 keeps its zero set and takes the
     # object-dtype branch of the evaluator
     big = [Hyperplane(tuple(scale * c for c in p.a), scale * p.b) for p in pool]
     assert not pool or not cube._int64_safe([cube._integerized(p) for p in big])
-    assert covered_bitsets(big, n) == bitsets_from_covered_set(pool)
+    assert covered_bitsets(big, n) == want
+    assert [bits_of_covered_set(p) for p in big] == want
 
 
 def test_covered_bitsets_across_chunks():
@@ -404,7 +416,7 @@ def test_covered_bitsets_across_chunks():
         Hyperplane(tuple(Fraction(j + 1, 3) for j in range(n)), Fraction(2, 3)),
     ]
     big = [Hyperplane(tuple((1 << 63) * c for c in p.a), (1 << 63) * p.b) for p in pool]
-    want = bitsets_from_covered_set(pool)
+    want = brute_bitsets(pool)
     low = (1 << (1 << 18)) - 1
     assert all(w & low and w & ~low for w in want)  # both chunks contribute
     assert covered_bitsets(pool, n) == want
@@ -593,6 +605,23 @@ def test_search_setup_keeps_one_copy_of_the_words(monkeypatch):
     # the start, the set-up reads and the search's one read
     assert next(ticks) == 1 + 2048 // 256 + 1
     assert peak < 64 << 20
+
+
+def test_greedy_bitsets_are_packed_per_chunk():
+    # 63 planes at n = 20 hold 7.9 MiB of words, and a greedy step adds one
+    # temporary of that size. A bool matrix of every plane's points, built
+    # before packing, would take 63 MiB.
+    import tracemalloc
+
+    pool = list(level_set_cover(20)) * 3
+    tracemalloc.start()
+    try:
+        family = greedy_cover(20, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(family) == set(level_set_cover(20))
+    assert peak < 24 << 20
 
 
 def test_clock_read_about_every_256_nodes(monkeypatch):
