@@ -109,15 +109,13 @@ def read_planes(stream: TextIO) -> CoverFamily:
     return CoverFamily(tuple(planes))
 
 
+def _plane_json(plane: Hyperplane) -> dict:
+    return {"a": [_rational_json(c) for c in plane.a], "b": _rational_json(plane.b)}
+
+
 def write_planes(family: CoverFamily, stream: TextIO) -> None:
     for plane in family:
-        stream.write(
-            json.dumps(
-                {"a": [_rational_json(c) for c in plane.a], "b": _rational_json(plane.b)},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        stream.write(json.dumps(_plane_json(plane), sort_keys=True) + "\n")
 
 
 def read_poly(stream: TextIO) -> MultilinearPoly:
@@ -255,12 +253,7 @@ def cmd_search(args) -> int:
     _emit(
         {
             "status": outcome.status.value,
-            "family": None
-            if family is None
-            else [
-                {"a": [_rational_json(c) for c in p.a], "b": _rational_json(p.b)}
-                for p in family
-            ],
+            "family": None if family is None else [_plane_json(p) for p in family],
             "nodes_explored": outcome.nodes_explored,
             "candidate_pool_size": outcome.candidate_pool_size,
         }

@@ -394,9 +394,11 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     if nn != plane.n:
         raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
     _check_exhaustive(nn)
-    words = _bitsets(*_plane_arrays([_integerized(plane)], nn), nn)
-    hit = np.unpackbits(words[0].view(np.uint8), count=1 << nn, bitorder="little")
-    return {CubePoint(m, nn) for m in np.flatnonzero(hit).tolist()}
+    row = _bitsets(*_plane_arrays([_integerized(plane)], nn), nn)[0]
+    # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
+    words = np.flatnonzero(row)
+    w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))
+    return {CubePoint(m, nn) for m in (words[w] * 64 + bit).tolist()}
 
 
 def verify_cover(

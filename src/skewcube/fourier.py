@@ -2,16 +2,16 @@
 
 A coefficient table maps subset bitmasks to rational vectors: bit j-1 of the
 key means coordinate j appears in the monomial, and the monomial's value at a
-point mask is (-1)^popcount(key & mask). The transform pair is the in-place
-butterfly; the coefficient direction divides by 2^n and the value direction
-does not, so the round trip is the identity over exact rationals.
+point mask is (-1)^popcount(key & mask).
 
-Point evaluation never adds fractions. ``MultilinearPoly`` writes every
-coefficient entry as an integer numerator over one common denominator D, the
-lcm of all entry denominators, so each entry is exactly num / D. A value is a
-signed sum of entries, which is the same signed sum of numerators over D:
-Python integers neither round nor overflow, and one ``Fraction(sum, D)`` per
-output component reduces the result to lowest terms.
+Neither point evaluation nor the transform pair adds fractions. Both write
+their input as integer numerators over one common denominator D, the lcm of
+all entry denominators (``MultilinearPoly`` stores them as ``_terms`` and
+``_den``). A value or coefficient is a signed sum of entries, which is the
+same signed sum of numerators over D: Python integers neither round nor
+overflow, and each output entry is reduced once, as ``Fraction(sum, D)``. The
+transform pair is one in-place butterfly; the coefficient direction divides
+by 2^n and the value direction does not, so the round trip is the identity.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ import numpy as np
 from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, exact
 from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from .subsets import mask_of
+
+
+def _numerators(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of the denominators in rows, and each row as integer numerators over D."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows]
 
 
 @dataclass(frozen=True, eq=True)
@@ -58,13 +64,9 @@ class MultilinearPoly:
             if any(v):
                 clean[mask] = v
         object.__setattr__(self, "coeffs", clean)
-        den = math.lcm(*(x.denominator for vec in clean.values() for x in vec))
-        terms = tuple(
-            (mask, tuple(x.numerator * (den // x.denominator) for x in vec))
-            for mask, vec in clean.items()
-        )
+        den, nums = _numerators(clean.values())
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_terms", tuple(zip(clean, nums)))
 
     def value_at(self, bits: int) -> tuple[Fraction, ...]:
         """Evaluate at a point mask by direct monomial summation on integer numerators."""
@@ -108,38 +110,34 @@ def check_transform_size(n: int, k: int) -> None:
         raise DimensionTooLarge(f"k * 2^n = {k} * 2^{n} exceeds the dense cap 2^{MAX_EXHAUSTIVE_N}")
 
 
-def _butterfly(vals: list[tuple[Fraction, ...]], n: int) -> None:
+def _butterfly(vals: np.ndarray, n: int) -> list[list[int]]:
+    """The rows of a (2^n, k) object array of Python ints, transformed in place:
+    at level j, each pair of rows 2^j apart becomes their sum and difference."""
     for j in range(n):
-        step = 1 << j
-        for base in range(0, len(vals), step << 1):
-            for u in range(base, base + step):
-                x = vals[u]
-                y = vals[u + step]
-                vals[u] = tuple(p + q for p, q in zip(x, y))
-                vals[u + step] = tuple(p - q for p, q in zip(x, y))
+        v = vals.reshape(-1, 2, 1 << j, vals.shape[1])
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
+    return vals.tolist()
 
 
 def wht(table: ValueTable) -> MultilinearPoly:
     """Coefficients from values: hat(S) = 2^-n * sum_x f(x) * (-1)^|S & x|."""
     check_transform_size(table.n, table.k)
-    vals = list(table.values)
-    _butterfly(vals, table.n)
-    scale = 1 << table.n
-    coeffs = {
-        mask: tuple(x / scale for x in vec) for mask, vec in enumerate(vals) if any(vec)
-    }
+    den, nums = _numerators(table.values)
+    vals = _butterfly(np.array(nums, dtype=object), table.n)
+    den <<= table.n
+    coeffs = {mask: tuple(Fraction(x, den) for x in row) for mask, row in enumerate(vals) if any(row)}
     return MultilinearPoly(table.n, table.k, coeffs)
 
 
 def inverse_wht(poly: MultilinearPoly) -> ValueTable:
     """Values from coefficients: f(x) = sum_S hat(S) * (-1)^|S & x|."""
     check_transform_size(poly.n, poly.k)
-    zero = tuple([Fraction(0)] * poly.k)
-    vals: list[tuple[Fraction, ...]] = [zero] * (1 << poly.n)
-    for mask, vec in poly.coeffs.items():
-        vals[mask] = vec
-    _butterfly(vals, poly.n)
-    return ValueTable(poly.n, poly.k, tuple(vals))
+    vals = np.zeros((1 << poly.n, poly.k), dtype=object)
+    for mask, nums in poly._terms:
+        vals[mask] = nums
+    den = poly._den
+    values = tuple(tuple(Fraction(x, den) for x in row) for row in _butterfly(vals, poly.n))
+    return ValueTable(poly.n, poly.k, values)
 
 
 def degree(poly: MultilinearPoly) -> int:

@@ -112,6 +112,21 @@ def test_covered_set_powers_of_two_empty():
     assert covered_set(Hyperplane((1, 2, 4), 0), 3) == set()
 
 
+def test_covered_set_unpacks_only_nonzero_words():
+    # The plane's sum is odd, so it meets no point. Its row of words takes
+    # 2 MiB at n = 24; the whole row unpacked would add 16 MiB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        got = covered_set(Hyperplane((1,) * 23 + (3,), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == set()
+    assert peak < 4 << 20
+
+
 def test_covered_set_rejects_mismatched_n():
     with pytest.raises(DimensionMismatch):
         covered_set(Hyperplane((1, 1), 0), 3)

@@ -107,6 +107,26 @@ def test_coefficient_mean_formula(table):
         assert poly.coeffs.get(S, (Fraction(0),))[0] == total / (1 << n)
 
 
+def test_transforms_past_int64():
+    # Entry (x, i) is 2^80 + 7x + 1/d with d = 2x + i + 1, in lowest terms, so
+    # the butterfly adds numerators past int64 over the denominator lcm(1..128).
+    n = 6
+    vals = tuple(
+        tuple(Fraction((2**80 + 7 * x) * d + 1, d) for d in (2 * x + 1, 2 * x + 2)) for x in range(1 << n)
+    )
+    assert sorted(v.denominator for row in vals for v in row) == list(range(1, 129))
+    assert min(v.numerator for row in vals for v in row) > 2**63
+    table = ValueTable(n, 2, vals)
+    poly = wht(table)
+    assert inverse_wht(poly) == table
+    S = 0b101101
+    total = Fraction(0)
+    for x in range(1 << n):
+        sign = -1 if (S & x).bit_count() & 1 else 1
+        total += sign * vals[x][1]
+    assert poly.coeffs[S][1] == total / (1 << n)
+
+
 def test_degree_examples():
     assert degree(MultilinearPoly(3, 1, {0: (5,)})) == 0
     two = MultilinearPoly(3, 1, {mask_of([1, 3]): (1,), mask_of([2]): (-1,)})
