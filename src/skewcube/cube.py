@@ -30,6 +30,7 @@ Python ints otherwise, so no input changes the exactness of the answer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -106,7 +107,8 @@ class Hyperplane:
     that ``_integerized`` returns: the plane scaled by the least common
     denominator ``den``, or the input itself with den = 1 when every input
     is an int. It is not a field, so equality, hashing and ``repr`` read
-    ``a`` and ``b`` alone.
+    ``a`` and ``b`` alone. An all-int input and the private ``_from_int_row``,
+    which skips the checks, set the fields in one place, ``_set_int_row``.
     """
 
     a: tuple[Fraction, ...]
@@ -115,8 +117,7 @@ class Hyperplane:
     def __post_init__(self):
         a, b = tuple(self.a), self.b
         if type(b) is int and all(type(v) is int for v in a):
-            row = (a, b, 1)
-            a, b = tuple(map(_fraction, a)), _fraction(b)
+            _set_int_row(self, a, b, tuple(map(_fraction, a)))
         else:
             a = tuple(v if type(v) is Fraction else exact(v) for v in a)
             b = b if type(b) is Fraction else exact(b)
@@ -126,15 +127,36 @@ class Hyperplane:
                 b.numerator * (den // b.denominator),
                 den,
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_row", row)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "_row", row)
         if not a:
             raise UsageError("a hyperplane needs at least one coefficient")
+
+    @classmethod
+    def _from_int_row(
+        cls, a: tuple[int, ...], b: int, fractions: tuple[Fraction, ...] | None = None
+    ) -> "Hyperplane":
+        """The plane of the int row (a, b), built without checks: a is a
+        nonempty tuple of ints and b an int. ``fractions``, if given, is
+        tuple(map(_fraction, a)), which planes with the same a may share. The
+        plane equals Hyperplane(a, b) in ==, hash, repr and pickle."""
+        plane = object.__new__(cls)
+        _set_int_row(plane, a, b, tuple(map(_fraction, a)) if fractions is None else fractions)
+        return plane
 
     @property
     def n(self) -> int:
         return len(self.a)
+
+
+def _set_int_row(plane: Hyperplane, a, b, fractions) -> None:
+    """Set the fields of the plane of the int row (a, b), whose integer row
+    is itself with den = 1: the one place an int row becomes a plane. The
+    order is the dataclass __init__'s, so pickles match."""
+    object.__setattr__(plane, "a", fractions)
+    object.__setattr__(plane, "b", _fraction(b))
+    object.__setattr__(plane, "_row", (a, b, 1))
 
 
 @dataclass(frozen=True)
@@ -211,10 +233,26 @@ def _int64_safe(planes_int) -> bool:
 
 
 def _plane_arrays(planes_int, n: int):
-    """Coefficient rows and offsets, int64 if _int64_safe allows, else object."""
-    dtype = np.int64 if _int64_safe(planes_int) else object
-    a = np.array([p[0] for p in planes_int], dtype=dtype).reshape(len(planes_int), n)
-    return a, np.array([p[1] for p in planes_int], dtype=dtype)
+    """Coefficient rows and offsets, int64 if _int64_safe allows, else object.
+
+    The decision is _int64_safe's, without its Python sum per row: an entry
+    past int64 fails it, and with every |entry| <= e a row's 4 (|b| + sum|a_j|)
+    is at most 4 (n + 1) e, so 4 (n + 1) e < 2^62 passes it. Only between
+    the two does the per-row rule run.
+    """
+    a_rows, b_row = [p[0] for p in planes_int], [p[1] for p in planes_int]
+    try:
+        a = np.fromiter(itertools.chain.from_iterable(a_rows), np.int64, len(a_rows) * n)
+        b = np.array(b_row, dtype=np.int64)
+    except OverflowError:
+        safe = False
+    else:
+        # In Python ints, since -(-2^63) overflows int64.
+        e = max(int(a.max(initial=0)), -int(a.min(initial=0)), int(b.max(initial=0)), -int(b.min(initial=0)))
+        safe = 4 * (n + 1) * e < _INT64_LIMIT or _int64_safe(planes_int)
+    if safe:
+        return a.reshape(len(a_rows), n), b
+    return np.array(a_rows, dtype=object).reshape(len(a_rows), n), np.array(b_row, dtype=object)
 
 
 def _layout(radix, chunk_bits: int) -> tuple[int, int]:

@@ -58,7 +58,7 @@ class MultilinearPoly:
         for mask, vec in self.coeffs.items():
             if mask < 0 or mask >> self.n:
                 raise UsageError(f"subset mask 0x{mask:x} out of range for n={self.n}")
-            v = tuple(exact(x) for x in vec)
+            v = tuple(x if type(x) is Fraction else exact(x) for x in vec)
             if len(v) != self.k:
                 raise UsageError(f"coefficient vector has length {len(v)}, expected {self.k}")
             if any(v):
@@ -95,7 +95,7 @@ class ValueTable:
             raise UsageError("dimension must be positive")
         if self.k < 1:
             raise UsageError("codomain dimension must be positive")
-        vals = tuple(tuple(exact(x) for x in row) for row in self.values)
+        vals = tuple(tuple(x if type(x) is Fraction else exact(x) for x in row) for row in self.values)
         # 2^n is built only once it is known to be at most len(vals).
         if self.n >= len(vals).bit_length() or len(vals) != 1 << self.n:
             raise UsageError(f"expected 2^{self.n} values, got {len(vals)}")

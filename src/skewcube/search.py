@@ -29,7 +29,9 @@ unconditional nonexistence statements.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -117,8 +119,17 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     by colex on (a_1..a_n, b). Raises ``DimensionTooLarge``, before enumerating,
     when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28,
     or when B (2B)^(n-1) (2 min(offset_bound, nB) + 1) raw planes exceed 2^20.
+
+    The planes come straight from ``_pool_rows``' int rows through
+    ``Hyperplane._from_int_row``, with no per-row checks. The rows run with b
+    fastest, so each run of rows with one a shares a single tuple of
+    Fractions (2,016 of them for the 13,088 planes of n = 6, B = 2).
     """
-    return [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset_bound)[0]]
+    pool: list[Hyperplane] = []
+    for a, rows in itertools.groupby(_pool_rows(n, coeff_bound, offset_bound)[0], key=operator.itemgetter(0)):
+        fractions = tuple(map(cube._fraction, a))
+        pool += [Hyperplane._from_int_row(a, b, fractions) for _, b in rows]
+    return pool
 
 
 def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
@@ -164,7 +175,13 @@ def _ints(words) -> list[int]:
 
 
 def _covered_words(pool: list[Hyperplane], n: int):
-    """The ``cube._bitsets`` word matrix of planes with any rational rows."""
+    """The ``cube._bitsets`` word matrix of planes with any rational rows.
+
+    Each plane's integer row was stored when it was built, by
+    ``Hyperplane._from_int_row`` for a ``candidate_pool`` plane, so this
+    integerizes nothing; ``cube._plane_arrays`` picks int64 without a
+    Python sum per row.
+    """
     cube._check_exhaustive(n)
     return cube._bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
 
@@ -375,7 +392,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     for k in range(k_lo, config.max_k + 1):
         nodes += 1
         if width <= k * max_cov and packs(full, k) and expand(full, k):
-            family = CoverFamily(tuple(Hyperplane(*pool[i]) for i in chosen))
+            family = CoverFamily(tuple(Hyperplane._from_int_row(*pool[i]) for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")
             return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, pool_size)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -566,3 +567,66 @@ def test_power_of_two_cover_counts(m):
     report = verify_cover(fam)
     assert report.covered and report.per_plane_counts == tuple(want)
     assert sum(want) == 1 << fam.n
+
+
+def per_row_int64_safe(planes_int):
+    """The dtype rule _plane_arrays keeps, one Python sum per row: int64 iff
+    4 (|b| + sum|a_j|) < 2^62 for every row."""
+    return all(4 * (abs(b) + sum(abs(c) for c in a)) < 1 << 62 for a, b, _ in planes_int)
+
+
+# Magnitudes around every threshold of the decision: the bound 2^62 / (4 (n + 1))
+# for n up to 7, the per-row limit 2^60, and the int64 range 2^63.
+edge_magnitudes = st.sampled_from(
+    [(1 << 62) // (4 * (n + 1)) + d for n in range(1, 8) for d in (-1, 0, 1)]
+    + [(1 << 60) + d for d in (-1, 0, 1)]
+    + [(1 << 59) + d for d in (-1, 0, 1)]
+    + [(1 << 63) + d for d in (-1, 0, 1)]
+)
+row_entries = (
+    st.integers(-3, 3) | st.integers(-(1 << 64), 1 << 64) | edge_magnitudes | edge_magnitudes.map(lambda v: -v)
+)
+
+
+@st.composite
+def int_rows(draw):
+    n = draw(st.integers(1, 7))
+    rows = [
+        (tuple(draw(row_entries) for _ in range(n)), draw(row_entries), 1)
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+@example(([((1 << 59,), (1 << 59) - 1, 1)], 1))  # 4 (|b| + sum|a|) = 2^62 - 4
+@example(([((1 << 58, -(1 << 58), 1 << 58), -((1 << 58) - 1), 1)], 3))  # the same, mixed signs
+@example(([((1 << 59, -(1 << 58)), 1 << 58, 1)], 2))  # 4 (|b| + sum|a|) = 2^62
+@example(([((1, 1), 0, 1), ((1 << 59, 1 << 58), -(1 << 58), 1)], 2))  # one row of 2^62 among small ones
+@example(([((1 << 63,), 0, 1)], 1))  # past int64
+@example(([((-(1 << 63),), 0, 1)], 1))  # the int64 minimum, whose negation overflows
+@example(([((1, -2), 1 << 63, 1)], 2))  # an offset past int64
+@example(([((2, 1), -(1 << 63), 1)], 2))  # an offset of -2^63
+@example(([((1 << 59, 1, -1), 0, 1)], 3))  # past the bound 4 (n + 1) max|entry|, yet below 2^62
+@example(([], 4))
+def test_plane_arrays_dtype_is_the_per_row_rule(rows_n):
+    rows, n = rows_n
+    a, b = cube._plane_arrays(rows, n)
+    dtype = np.int64 if per_row_int64_safe(rows) else object
+    assert a.dtype == dtype and b.dtype == dtype
+    assert a.shape == (len(rows), n)
+    assert a.tolist() == [list(r[0]) for r in rows]
+    assert b.tolist() == [r[1] for r in rows]
+
+
+def test_bigint_benchmark_family_takes_the_object_path():
+    # level_set_cover(8) with each plane times +-(p/q) 2^62, p, q in 1..9, as
+    # the benchmark's bigint verify family is built
+    for p, q, sign in itertools.product(range(1, 10), range(1, 10), (1, -1)):
+        r = Fraction(sign * p, q) * (1 << 62)
+        family = [Hyperplane(tuple(r * c for c in plane.a), r * plane.b) for plane in level_set_cover(8)]
+        rows = [cube._integerized(plane) for plane in family]
+        a, b = cube._plane_arrays(rows, 8)
+        assert not per_row_int64_safe(rows)
+        assert a.dtype == object and b.dtype == object

@@ -235,3 +235,19 @@ def test_value_table_huge_n_is_usage_error():
         ValueTable(10**30, 1, ((1,),))
     with pytest.raises(UsageError):
         ValueTable(2, 1, ((1,),) * 3)
+
+
+def test_entries_are_coerced_once_and_floats_refused():
+    half = Fraction(1, 2)
+    poly = MultilinearPoly(2, 2, {0b01: (half, 3), 0b10: ("-1/3", 0)})
+    assert poly.coeffs == {0b01: (half, Fraction(3)), 0b10: (Fraction(-1, 3), Fraction(0))}
+    assert poly.coeffs[0b01][0] is half  # a Fraction is kept, not rebuilt
+    assert all(type(x) is Fraction for vec in poly.coeffs.values() for x in vec)
+    table = ValueTable(1, 2, ((half, 1), ("2/3", Fraction(-5))))
+    assert table.values == ((half, Fraction(1)), (Fraction(2, 3), Fraction(-5)))
+    assert table.values[0][0] is half
+    assert all(type(x) is Fraction for row in table.values for x in row)
+    with pytest.raises(TypeError):
+        MultilinearPoly(2, 1, {0b01: (0.5,)})
+    with pytest.raises(TypeError):
+        ValueTable(1, 1, ((Fraction(1),), (0.5,)))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -660,3 +661,61 @@ def test_time_budget_infinite_is_no_limit():
     cfg = SearchConfig(n=4, coeff_bound=1, max_k=4)
     unlimited = SearchConfig(n=4, coeff_bound=1, max_k=4, time_budget=float("inf"))
     assert min_cover_search(unlimited) == min_cover_search(cfg)
+
+
+def assert_same_planes(pool, want):
+    assert pool == want
+    assert [p._row for p in pool] == [p._row for p in want]
+    entries = itertools.chain(itertools.chain.from_iterable(p.a for p in pool), (p.b for p in pool))
+    assert set(map(type, entries)) <= {Fraction}
+
+
+def assert_pool_planes_match_the_public_constructor(n, coeff_bound, offset):
+    """candidate_pool's planes against Hyperplane(a, b) of the same rows,
+    in every way a caller can see them; returns the public planes."""
+    pool = candidate_pool(n, coeff_bound, offset)
+    want = [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset)[0]]
+    assert_same_planes(pool, want)
+    # == compares the class and the fields, so hash and repr follow from it
+    # unless a plane is built apart from its fields; a pickle also records
+    # which objects a plane shares
+    assert [hash(p) for p in pool] == [hash(p) for p in want]
+    assert repr(pool) == repr(want)
+    assert [pickle.dumps(p) for p in pool] == [pickle.dumps(p) for p in want]
+    clones = pickle.loads(pickle.dumps(pool))
+    assert clones == want and [p._row for p in clones] == [p._row for p in want]
+    return want
+
+
+@pytest.mark.parametrize("n, coeff_bound", [(n, coeff_bound) for n in range(1, 6) for coeff_bound in range(1, 4)])
+def test_pool_planes_match_the_public_constructor(n, coeff_bound):
+    want = assert_pool_planes_match_the_public_constructor(n, coeff_bound, coeff_bound * n)
+    # The pool of a smaller offset keeps the planes with |b| <= offset (read
+    # off the int row, which is quicker than a Fraction), in order; past
+    # n * B every offset gives the pool of n * B.
+    for offset in range(coeff_bound * n + 2):
+        assert_same_planes(candidate_pool(n, coeff_bound, offset), [p for p in want if abs(p._row[1]) <= offset])
+
+
+def test_pool_planes_match_the_public_constructor_benchmark_config():
+    assert_pool_planes_match_the_public_constructor(6, 2, 6)
+
+
+GREEDY_GOLDEN = json.loads((GOLDEN / "greedy_pool_families.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "record", GREEDY_GOLDEN, ids=lambda r: "n{n}_B{coeff_bound}_off{offset_bound}".format(**r["config"])
+)
+def test_greedy_golden_families(record):
+    # The families and their pool positions are pinned, so a change to the
+    # pool order or to greedy's tie-break shows here.
+    cfg = record["config"]
+    n = cfg["n"]
+    pool = candidate_pool(n, cfg["coeff_bound"], cfg["offset_bound"])
+    assert len(pool) == record["candidate_pool_size"]
+    family = greedy_cover(n, pool)
+    assert family == CoverFamily(tuple(Hyperplane(tuple(p["a"]), p["b"]) for p in record["family"]))
+    rows = [p._row for p in pool]
+    assert [rows.index(p._row) for p in family] == record["positions"]
+    assert verify_cover(family).covered
