@@ -61,8 +61,9 @@ def exact(value) -> Fraction:
 
 @functools.lru_cache(maxsize=1024)
 def _fraction(v: int) -> Fraction:
-    """Fraction(v), shared by the planes built from the last 1,024 ints;
-    a Fraction is immutable, and building one costs several cache hits."""
+    """Fraction(v) for the last 1,024 ints, shared by the planes built from
+    int rows and by the integer values MultilinearPoly.value_at returns at
+    points; a Fraction is immutable, and building one costs several cache hits."""
     return Fraction(v)
 
 
@@ -79,6 +80,17 @@ class CubePoint:
         # bits >> n tests the range without building 2^n, so any n is cheap.
         if self.bits < 0 or self.bits >> self.n:
             raise UsageError(f"mask 0x{self.bits:x} out of range for n={self.n}")
+
+    @classmethod
+    def _from_mask(cls, bits: int, n: int) -> "CubePoint":
+        """The point of an int mask that is in range by construction,
+        0 <= bits < 2^n with n >= 1, built without checks. It equals
+        CubePoint(bits, n) in ==, hash, repr and pickle."""
+        point = object.__new__(cls)
+        fields = point.__dict__
+        fields["bits"] = bits
+        fields["n"] = n
+        return point
 
     @property
     def weight(self) -> int:
@@ -436,7 +448,7 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
     words = np.flatnonzero(row)
     w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))
-    return {CubePoint(m, nn) for m in (words[w] * 64 + bit).tolist()}
+    return {CubePoint._from_mask(m, nn) for m in (words[w] * 64 + bit).tolist()}
 
 
 def verify_cover(

@@ -12,6 +12,14 @@ same signed sum of numerators over D: Python integers neither round nor
 overflow, and each output entry is reduced once, as ``Fraction(sum, D)``. The
 transform pair is one in-place butterfly; the coefficient direction divides
 by 2^n and the value direction does not, so the round trip is the identity.
+
+Point evaluation also keeps each component's total T of numerators
+(``_total``) and, per term, the flip -2 * numerators (``_flips``). At a point
+only the terms of odd parity change sign, so a component's value is
+(T - 2 * odd) / D, where odd is that component's column sum over those
+terms: T plus the column sum of their flips. With D = 1 each entry comes from
+``cube._fraction``, a bounded cache of immutable integer ``Fraction``s, so
+an integer value seen recently builds no new ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, exact
+from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, _fraction, exact
 from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from .subsets import mask_of
 
@@ -41,8 +49,10 @@ class MultilinearPoly:
     Zero coefficient vectors are dropped at construction, so ``degree`` can
     read the support directly. The zero polynomial has an empty map and, by
     convention, degree 0. Construction also stores the common denominator
-    ``_den`` and the integer numerators ``_terms`` that ``value_at`` sums;
-    they are not fields, so equality and ``repr`` read ``coeffs`` alone.
+    ``_den``, the (mask, integer numerators) pairs ``_terms``, their
+    per-component totals ``_total`` and the (mask, -2 * numerators) pairs
+    ``_flips`` that ``value_at`` reads; they are not fields, so equality and
+    ``repr`` read ``coeffs`` alone.
     """
 
     n: int
@@ -67,18 +77,17 @@ class MultilinearPoly:
         den, nums = _numerators(clean.values())
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_terms", tuple(zip(clean, nums)))
+        object.__setattr__(self, "_total", tuple(map(sum, zip(*nums))) if nums else (0,) * self.k)
+        object.__setattr__(self, "_flips", tuple((mask, tuple(-2 * v for v in row)) for mask, row in self._terms))
 
     def value_at(self, bits: int) -> tuple[Fraction, ...]:
-        """Evaluate at a point mask by direct monomial summation on integer numerators."""
-        acc = [0] * self.k
-        for mask, nums in self._terms:
-            if (mask & bits).bit_count() & 1:
-                for i, v in enumerate(nums):
-                    acc[i] -= v
-            else:
-                for i, v in enumerate(nums):
-                    acc[i] += v
+        """Evaluate at a point mask: each component's numerator total plus
+        the column sum of the flips of the terms that are odd at the mask."""
+        odd = [flip for mask, flip in self._flips if (mask & bits).bit_count() & 1]
+        acc = map(sum, zip(*odd), self._total) if odd else self._total
         den = self._den
+        if den == 1:
+            return tuple(map(_fraction, acc))
         return tuple(Fraction(a, den) for a in acc)
 
 
@@ -152,7 +161,7 @@ def w_set(n: int, m: int) -> list[CubePoint]:
     _check_exhaustive(n)
     masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) % m == 0]
-    return [CubePoint(x, n) for x in masks.tolist()]
+    return [CubePoint._from_mask(x, n) for x in masks.tolist()]
 
 
 def random_poly(n: int, d: int, k: int, seed) -> MultilinearPoly:

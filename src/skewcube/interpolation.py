@@ -23,9 +23,11 @@ exactly 1/2.
 Recovery runs on integers. Every atom weight is a product of 1/m,
 1/(2*C(m-2, m/2-1)) and 2^-d, so the scheme stores one common weight
 denominator D and a signed integer numerator w per atom, and the weighted
-sum is (sum of w * value) / D. ``recover_coefficient`` adds the products
-w * p for each value p/q into one integer per distinct q, then brings those
-few sums over their lcm L and divides once by L * D. Each step is integer
+sum is (sum of w * value) / D. ``recover_coefficient`` first reads every
+atom's value in scheme order, then sums each component as one column of
+values p/q. With L the lcm of the column's q, the column's sum is
+(sum of w * p * (L / q)) / (L * D), divided once; when every q is 1, L is 1
+and the numerator is the plain sum of w * p. Each step is integer
 arithmetic, which is exact, so the result equals the rational sum term by
 term.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -60,6 +63,8 @@ from .subsets import mask_of
 
 # Largest recovery check_recovery_size admits: atoms * (n + k) cells.
 MAX_RECOVERY_CELLS = 1 << 20
+# Value entries of these types are used as they are; others go through exact.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,7 @@ def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> Interpolation
         atoms += ((base ^ f, weight, s) for f, s in flips)
     atoms.sort(key=lambda atom: atom[0])
     return InterpolationScheme(
-        n, m, d, layout.subset, tuple((CubePoint(bits, n), w, s) for bits, w, s in atoms)
+        n, m, d, layout.subset, tuple((CubePoint._from_mask(bits, n), w, s) for bits, w, s in atoms)
     )
 
 
@@ -269,29 +274,26 @@ def recover_coefficient(
         raise TypeError("f must be a ValueTable or a callable")
 
     k = None
-    # value denominator q -> per component, the sum of w * p over values p/q
-    sums: dict[int, list[int]] = {}
-    for point, w in scheme._terms:
+    vecs = []
+    for point, _ in scheme._terms:
         value = getter(point)
         if value is None:
             raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
-        vec = [v if type(v) in (int, Fraction) else exact(v) for v in value]
+        vec = [v if type(v) in _EXACT_TYPES else exact(v) for v in value]
         if k is None:
             k = len(vec)
         elif len(vec) != k:
             raise MissingValue("f returned vectors of inconsistent dimension")
-        for i, v in enumerate(vec):
-            q = v.denominator
-            row = sums.get(q)
-            if row is None:
-                row = sums[q] = [0] * k
-            row[i] += w * v.numerator
-    assert k is not None  # schemes always carry at least one atom
-    lcm = math.lcm(*sums)
-    den = lcm * scheme._den
-    return tuple(
-        Fraction(sum(row[i] * (lcm // q) for q, row in sums.items()), den) for i in range(k)
-    )
+        vecs.append(vec)
+    weights = [w for _, w in scheme._terms]
+    out = []
+    for column in zip(*vecs):
+        nums, dens = zip(*[v.as_integer_ratio() for v in column])
+        lcm = math.lcm(*dens)
+        if lcm > 1:
+            nums = [p * (lcm // q) for p, q in zip(nums, dens)]
+        out.append(Fraction(sum(map(operator.mul, weights, nums)), lcm * scheme._den))
+    return tuple(out)
 
 
 def _krawtchouk_column(n: int, u: int, count: int) -> list[int]:

@@ -484,6 +484,14 @@ def test_cube_point_range_without_building_two_to_the_n():
             CubePoint(bits, n)
 
 
+@pytest.mark.parametrize("bits, n", [(0, 1), (1, 1), (0b1011, 4), ((1 << 24) - 1, 24), (1 << 99, 100)])
+def test_unchecked_point_equals_the_checked_one(bits, n):
+    point, checked = CubePoint._from_mask(bits, n), CubePoint(bits, n)
+    assert point == checked and hash(point) == hash(checked) and repr(point) == repr(checked)
+    assert pickle.dumps(point) == pickle.dumps(checked)
+    assert point.weight == checked.weight and point.coords() == checked.coords()
+
+
 @st.composite
 def class_families(draw, max_n=12):
     """Families whose columns repeat: every coordinate takes one of a few base

@@ -251,3 +251,17 @@ def test_entries_are_coerced_once_and_floats_refused():
         MultilinearPoly(2, 1, {0b01: (0.5,)})
     with pytest.raises(TypeError):
         ValueTable(1, 1, ((Fraction(1),), (0.5,)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_value_at_returns_fractions_equal_to_inverse_wht(n, k):
+    ints = random_poly(n, min(n, 3), k, seed=10 * n + k)
+    big = MultilinearPoly(n, k, {mask: tuple(x * 2**70 for x in vec) for mask, vec in ints.coeffs.items()})
+    sixths = MultilinearPoly(n, k, {mask: tuple(x / 6 for x in vec) for mask, vec in ints.coeffs.items()})
+    zero = MultilinearPoly(n, k, {})
+    assert ints._den == big._den == zero._den == 1 and sixths._den > 1
+    for poly in (ints, big, sixths, zero):
+        values = [poly.value_at(x) for x in range(1 << n)]
+        assert values == list(inverse_wht(poly).values)
+        assert all(type(v) is Fraction for row in values for v in row)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewcube.errors import (
     BadModulus,
@@ -413,6 +413,8 @@ def _exact_values(draw):
     st.lists(_exact_values(), min_size=1, max_size=16),
     st.integers(1, 10**6),
 )
+# a column that mixes denominators 1 and 2, so its lcm is 2
+@example(_SCHEME_SHAPES[1], 2, [1, Fraction(1, 2), -3, "5/2", 4], 1)
 def test_recover_matches_fraction_sum_oracle(shape, k, pool, stride):
     # atom i, component j reads pool[(i * k + j) * stride % len(pool)]
     scheme = build_scheme(*shape)
@@ -443,6 +445,28 @@ def test_recover_inconsistent_lengths_is_missing_value():
     scheme = build_scheme(3, 2, 1, {2})
     with pytest.raises(MissingValue):
         recover_coefficient(scheme, lambda p: (1,) * (1 + (p.bits & 1)))
+
+
+def test_recover_errors_are_raised_at_the_first_bad_atom_in_scheme_order():
+    scheme = build_scheme(5, 2, 2, (1, 4))
+    masks = [pt.bits for pt, _, _ in scheme.atoms]
+
+    def callback(bad):
+        """Values (1, 2) everywhere except the atoms in bad, by index."""
+        return lambda pt: bad.get(masks.index(pt.bits), (1, 2))
+
+    with pytest.raises(MissingValue, match="inconsistent dimension"):
+        recover_coefficient(scheme, callback({2: (1, 2, 3), 5: None}))
+    with pytest.raises(MissingValue, match=rf"point mask 0x{masks[2]:x}$"):
+        recover_coefficient(scheme, callback({2: None, 5: (1,)}))
+    with pytest.raises(MissingValue, match=rf"point mask 0x{masks[2]:x}$"):
+        recover_coefficient(scheme, callback({2: None, 5: (0.5, 1)}))
+    with pytest.raises(TypeError):
+        recover_coefficient(scheme, callback({5: (1, 0.5)}))
+    with pytest.raises(TypeError):
+        recover_coefficient(scheme, callback({2: (0.5, 1), 5: None}))
+    with pytest.raises(TypeError):
+        recover_coefficient(scheme, callback({2: (0.5,), 5: (1,)}))
 
 
 def test_scheme_integer_weights_reproduce_atoms():
