@@ -53,10 +53,21 @@ _INT64_LIMIT = 1 << 62
 
 
 def exact(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats (exactness is the contract)."""
+    """The value as a Fraction, returned as it is if it already is one;
+    floats are rejected (exactness is the contract)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; pass int, Fraction or 'p/q'")
     return Fraction(value)
+
+
+def _numerators(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of the denominators in rows of ints and Fractions, and each
+    row as integer numerators over D: the one step from rationals to integers."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    return den, [tuple(p * (den // q) for p, q in row) for row in ratios]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -115,8 +126,8 @@ class CubePoint:
 class Hyperplane:
     """The affine plane a.x + b = 0 with exact rational coefficients.
 
-    Construction also stores the integer row ``_row`` = (a_int, b_int, den)
-    that ``_integerized`` returns: the plane scaled by the least common
+    Construction also stores the integer row ``_row`` = (a_int, b_int, den),
+    which the evaluators read: the plane's ``_numerators`` over their common
     denominator ``den``, or the input itself with den = 1 when every input
     is an int. It is not a field, so equality, hashing and ``repr`` read
     ``a`` and ``b`` alone. An all-int input and the private ``_from_int_row``,
@@ -131,17 +142,11 @@ class Hyperplane:
         if type(b) is int and all(type(v) is int for v in a):
             _set_int_row(self, a, b, tuple(map(_fraction, a)))
         else:
-            a = tuple(v if type(v) is Fraction else exact(v) for v in a)
-            b = b if type(b) is Fraction else exact(b)
-            den = math.lcm(b.denominator, *(c.denominator for c in a))
-            row = (
-                tuple(c.numerator * (den // c.denominator) for c in a),
-                b.numerator * (den // b.denominator),
-                den,
-            )
+            a, b = tuple(map(exact, a)), exact(b)
+            den, (a_int, (b_int,)) = _numerators((a, (b,)))
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-            object.__setattr__(self, "_row", row)
+            object.__setattr__(self, "_row", (a_int, b_int, den))
         if not a:
             raise UsageError("a hyperplane needs at least one coefficient")
 
@@ -208,17 +213,11 @@ class CoverReport:
     per_plane_counts: tuple[int, ...]
 
 
-def _integerized(plane: Hyperplane) -> tuple[tuple[int, ...], int, int]:
-    """The plane scaled to integer coefficients, (a_int, b_int, denominator),
-    as stored at construction."""
-    return plane._row
-
-
 def evaluate(plane: Hyperplane, point: CubePoint) -> Fraction:
     """Exact value of a.x + b at the point."""
     if plane.n != point.n:
         raise DimensionMismatch(f"plane has n={plane.n}, point has n={point.n}")
-    a_int, b_int, den = _integerized(plane)
+    a_int, b_int, den = plane._row
     neg = sum(c for j, c in enumerate(a_int) if (point.bits >> j) & 1)
     return Fraction(b_int + sum(a_int) - 2 * neg, den)
 
@@ -444,7 +443,7 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     if nn != plane.n:
         raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
     _check_exhaustive(nn)
-    row = _bitsets(*_plane_arrays([_integerized(plane)], nn), nn)[0]
+    row = _bitsets(*_plane_arrays([plane._row], nn), nn)[0]
     # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
     words = np.flatnonzero(row)
     w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))
@@ -478,7 +477,7 @@ def verify_cover(
     ``DimensionTooLarge`` above 2^24 class points.
     """
     n = family.n
-    a, b = _plane_arrays([_integerized(p) for p in family.planes], n)
+    a, b = _plane_arrays([p._row for p in family.planes], n)
     reps, class_of, flips = _coordinate_classes(a)
     radix = np.bincount(class_of) + 1
     # Every radix is at least 2, so more classes than cap bits are over it.

@@ -4,9 +4,9 @@ A coefficient table maps subset bitmasks to rational vectors: bit j-1 of the
 key means coordinate j appears in the monomial, and the monomial's value at a
 point mask is (-1)^popcount(key & mask).
 
-Neither point evaluation nor the transform pair adds fractions. Both write
-their input as integer numerators over one common denominator D, the lcm of
-all entry denominators (``MultilinearPoly`` stores them as ``_terms`` and
+Neither point evaluation nor the transform pair adds fractions. Both read
+their input as ``cube._numerators`` gives it, integer numerators over one
+common denominator D (``MultilinearPoly`` stores them as ``_terms`` and
 ``_den``). A value or coefficient is a signed sum of entries, which is the
 same signed sum of numerators over D: Python integers neither round nor
 overflow, and each output entry is reduced once, as ``Fraction(sum, D)``. The
@@ -24,22 +24,15 @@ an integer value seen recently builds no new ``Fraction``.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, _fraction, exact
+from .cube import MAX_EXHAUSTIVE_N, CubePoint, _check_exhaustive, _fraction, _numerators, exact
 from .errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from .subsets import mask_of
-
-
-def _numerators(rows) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm D of the denominators in rows, and each row as integer numerators over D."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows]
 
 
 @dataclass(frozen=True, eq=True)
@@ -68,7 +61,7 @@ class MultilinearPoly:
         for mask, vec in self.coeffs.items():
             if mask < 0 or mask >> self.n:
                 raise UsageError(f"subset mask 0x{mask:x} out of range for n={self.n}")
-            v = tuple(x if type(x) is Fraction else exact(x) for x in vec)
+            v = tuple(map(exact, vec))
             if len(v) != self.k:
                 raise UsageError(f"coefficient vector has length {len(v)}, expected {self.k}")
             if any(v):
@@ -104,7 +97,7 @@ class ValueTable:
             raise UsageError("dimension must be positive")
         if self.k < 1:
             raise UsageError("codomain dimension must be positive")
-        vals = tuple(tuple(x if type(x) is Fraction else exact(x) for x in row) for row in self.values)
+        vals = tuple(tuple(map(exact, row)) for row in self.values)
         # 2^n is built only once it is known to be at most len(vals).
         if self.n >= len(vals).bit_length() or len(vals) != 1 << self.n:
             raise UsageError(f"expected 2^{self.n} values, got {len(vals)}")
@@ -156,6 +149,8 @@ def degree(poly: MultilinearPoly) -> int:
 
 def w_set(n: int, m: int) -> list[CubePoint]:
     """Points whose count of -1 coordinates is divisible by m, mask-ascending."""
+    if n < 1:
+        raise UsageError("dimension must be positive")
     if m < 2:
         raise BadModulus(f"modulus must be >= 2, got {m}")
     _check_exhaustive(n)

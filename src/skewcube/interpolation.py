@@ -25,11 +25,11 @@ Recovery runs on integers. Every atom weight is a product of 1/m,
 denominator D and a signed integer numerator w per atom, and the weighted
 sum is (sum of w * value) / D. ``recover_coefficient`` first reads every
 atom's value in scheme order, then sums each component as one column of
-values p/q. With L the lcm of the column's q, the column's sum is
-(sum of w * p * (L / q)) / (L * D), divided once; when every q is 1, L is 1
-and the numerator is the plain sum of w * p. Each step is integer
-arithmetic, which is exact, so the result equals the rational sum term by
-term.
+values. ``cube._numerators`` writes a column as integer numerators p over
+one denominator L, so the column's sum is (sum of w * p) / (L * D), divided
+once; when every value is an integer, L is 1 and p is the value. Each step is
+integer arithmetic, which is exact, so the result equals the rational sum
+term by term.
 
 A scheme for modulus m and degree d has (2 * (1 + C(m-1, m/2)))^d atoms
 whatever n is. ``check_recovery_size`` bounds a recovery by that count
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .cube import CubePoint, exact
+from .cube import CubePoint, _numerators, exact
 from .errors import (
     BadModulus,
     BadSubsetSize,
@@ -63,8 +63,6 @@ from .subsets import mask_of
 
 # Largest recovery check_recovery_size admits: atoms * (n + k) cells.
 MAX_RECOVERY_CELLS = 1 << 20
-# Value entries of these types are used as they are; others go through exact.
-_EXACT_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class InterpolationScheme:
                 raise SkewcubeError("atom dimension mismatch")
             if point.bits in seen:
                 raise SkewcubeError("duplicate atom point")
-            weight = weight if type(weight) is Fraction else exact(weight)
+            weight = exact(weight)
             if weight <= 0:
                 raise SkewcubeError("atom weights must be positive")
             if sign not in (-1, 1):
@@ -122,8 +120,7 @@ class InterpolationScheme:
                 raise SkewcubeError("atom point outside W(m)")
             seen.add(point.bits)
             weights.append(weight)
-        den = math.lcm(*(w.denominator for w in weights))
-        nums = [w.numerator * (den // w.denominator) for w in weights]
+        den, (nums,) = _numerators((weights,))
         if sum(nums) != den:
             raise SkewcubeError(f"atom weights sum to {Fraction(sum(nums), den)}, expected 1")
         terms = tuple((point, num * sign) for (point, _, sign), num in zip(self.atoms, nums))
@@ -279,7 +276,7 @@ def recover_coefficient(
         value = getter(point)
         if value is None:
             raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
-        vec = [v if type(v) in _EXACT_TYPES else exact(v) for v in value]
+        vec = [v if type(v) is int else exact(v) for v in value]
         if k is None:
             k = len(vec)
         elif len(vec) != k:
@@ -288,11 +285,8 @@ def recover_coefficient(
     weights = [w for _, w in scheme._terms]
     out = []
     for column in zip(*vecs):
-        nums, dens = zip(*[v.as_integer_ratio() for v in column])
-        lcm = math.lcm(*dens)
-        if lcm > 1:
-            nums = [p * (lcm // q) for p, q in zip(nums, dens)]
-        out.append(Fraction(sum(map(operator.mul, weights, nums)), lcm * scheme._den))
+        den, (nums,) = _numerators((column,))
+        out.append(Fraction(sum(map(operator.mul, weights, nums)), den * scheme._den))
     return tuple(out)
 
 

@@ -9,33 +9,26 @@ elimination at all.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .cube import _numerators, exact
 from .errors import UsageError
-
-
-def _integer_row(row: Sequence) -> list[int]:
-    if all(isinstance(x, int) for x in row):
-        return list(row)
-    fracs = [Fraction(x) for x in row]
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * den) for f in fracs]
 
 
 def exact_nullity(rows: Iterable[Sequence], ncols: int) -> int:
     """Nullity over Q by fraction-free elimination (cross-multiply, gcd-reduce).
 
-    Rows may contain ints or Fractions; each row is scaled independently,
-    which changes neither rank nor nullity.
+    Entries are ints or anything ``cube.exact`` takes, never floats. Each
+    row becomes its ``cube._numerators`` over its own denominator, which
+    changes neither rank nor nullity.
     """
     work: list[list[int]] = []
     for row in rows:
-        ints = _integer_row(row)
+        _, (ints,) = _numerators(([v if type(v) is int else exact(v) for v in row],))
         if len(ints) != ncols:
             raise UsageError("row length does not match ncols")
         if any(ints):
-            work.append(ints)
+            work.append(list(ints))
     rank = 0
     for col in range(ncols):
         piv = next((i for i in range(rank, len(work)) if work[i][col]), None)

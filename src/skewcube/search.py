@@ -177,13 +177,13 @@ def _ints(words) -> list[int]:
 def _covered_words(pool: list[Hyperplane], n: int):
     """The ``cube._bitsets`` word matrix of planes with any rational rows.
 
-    Each plane's integer row was stored when it was built, by
+    Each plane's integer row ``_row`` was stored when it was built, by
     ``Hyperplane._from_int_row`` for a ``candidate_pool`` plane, so this
     integerizes nothing; ``cube._plane_arrays`` picks int64 without a
     Python sum per row.
     """
     cube._check_exhaustive(n)
-    return cube._bitsets(*cube._plane_arrays([cube._integerized(p) for p in pool], n), n)
+    return cube._bitsets(*cube._plane_arrays([p._row for p in pool], n), n)
 
 
 def _canonical_root(a, b) -> bool:

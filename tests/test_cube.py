@@ -79,6 +79,11 @@ def test_floats_rejected():
     for a, b in [((1, 0.5), 0), ((1, 2), 0.0), ((Fraction(1, 2), 1), 2.5)]:
         with pytest.raises(TypeError, match="float"):
             Hyperplane(a, b)
+    # exact hands a Fraction back as it is and refuses numpy floats too
+    q = Fraction(-7, 3)
+    assert cube.exact(q) is q
+    with pytest.raises(TypeError, match="float"):
+        cube.exact(np.float64(0.5))
 
 
 def test_covers_odd_sum_never_zero():
@@ -323,7 +328,7 @@ def test_object_branch_across_chunks_matches_bruteforce(family, data):
     # each chunk's base mask enter the target
     scales = [data.draw(st.integers(1 << 62, 1 << 90)) for _ in family]
     big = scaled(family, scales)
-    assert not cube._int64_safe([cube._integerized(p) for p in big])
+    assert not cube._int64_safe([p._row for p in big])
     report = verify_cover(big, chunk_bits=2)
     assert report == brute_report(big)
     assert report == verify_cover(family, chunk_bits=2)
@@ -359,7 +364,7 @@ def test_plane_blocks_match_bruteforce(family_bits, scale):
     want_pairs = [(i, m) for i, p in enumerate(family) for m in sorted(brute_covered(p, n))]
     want = brute_report(family)
     for fam, dtype in ((family, np.int64), (scaled(family, [scale] * len(family)), object)):
-        a, b = cube._plane_arrays([cube._integerized(p) for p in fam], n)
+        a, b = cube._plane_arrays([p._row for p in fam], n)
         assert a.dtype == dtype
         words = cube._bitsets(a, b, n, chunk_bits)
         assert words.shape == (len(fam), max(1, (1 << n) // 64))
@@ -431,7 +436,7 @@ big_rational = st.builds(
 def test_integerized_matches_fraction_arithmetic(values):
     plane = Hyperplane(tuple(values[1:]), values[0])
     den = math.lcm(*(v.denominator for v in values))
-    a_int, b_int, got_den = cube._integerized(plane)
+    a_int, b_int, got_den = plane._row
     assert got_den == den
     assert a_int == tuple(int(c * den) for c in plane.a)
     assert b_int == int(plane.b * den)
@@ -462,14 +467,14 @@ plane_inputs = st.one_of(
 def test_stored_row_matches_the_lcm_formula(values):
     plane = Hyperplane(tuple(values[1:]), values[0])
     assert all(type(c) is Fraction for c in (*plane.a, plane.b))
-    assert cube._integerized(plane) == lcm_row(plane)
+    assert plane._row == lcm_row(plane)
     # the row is no field: equality, hashing and repr ignore it
     twin = Hyperplane(plane.a, plane.b)
     object.__setattr__(twin, "_row", None)
     assert twin == plane and hash(twin) == hash(plane) and repr(twin) == repr(plane)
     clone = pickle.loads(pickle.dumps(plane))
     assert clone == plane and hash(clone) == hash(plane) and repr(clone) == repr(plane)
-    assert cube._integerized(clone) == cube._integerized(plane)
+    assert clone._row == plane._row
     # the shared int Fractions stay within their bound
     assert cube._fraction.cache_info().currsize <= 1024
 
@@ -634,7 +639,7 @@ def test_bigint_benchmark_family_takes_the_object_path():
     for p, q, sign in itertools.product(range(1, 10), range(1, 10), (1, -1)):
         r = Fraction(sign * p, q) * (1 << 62)
         family = [Hyperplane(tuple(r * c for c in plane.a), r * plane.b) for plane in level_set_cover(8)]
-        rows = [cube._integerized(plane) for plane in family]
+        rows = [plane._row for plane in family]
         a, b = cube._plane_arrays(rows, 8)
         assert not per_row_int64_safe(rows)
         assert a.dtype == object and b.dtype == object

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcube.errors import BadModulus, DegreeOutOfRange, DimensionTooLarge
+from skewcube.errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from skewcube.fourier import (
     MultilinearPoly,
     ValueTable,
@@ -158,6 +158,12 @@ def test_w_set_binomial_sum(n):
 def test_w_set_bad_modulus():
     with pytest.raises(BadModulus):
         w_set(4, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_w_set_nonpositive_dimension(n):
+    with pytest.raises(UsageError, match="dimension must be positive"):
+        w_set(n, 2)
 
 
 def test_random_poly_deterministic():

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gram_oracle import block_rows, modp_rank
@@ -73,6 +74,12 @@ def test_exact_nullity_fraction_rows():
     ]
     assert exact_nullity(rows, 2) == 1
     assert exact_nullity([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5, 7)]], 2) == 0
+
+
+def test_exact_nullity_rejects_floats():
+    for rows in ([[0.5, 1.0]], [[1, 2], [Fraction(1, 2), 0.25]], [[1, np.float64(2)]]):
+        with pytest.raises(TypeError, match="float"):
+            exact_nullity(rows, 2)
 
 
 def test_exact_nullity_dependent_rows():

@@ -268,7 +268,7 @@ def test_greedy_with_rationally_rescaled_pool():
     pool = candidate_pool(5, 2, 5)
     scales = [Fraction((-1) ** i * (i % 7 + 1), i % 7 + 2) for i in range(len(pool))]
     scaled = [Hyperplane(tuple(q * c for c in p.a), q * p.b) for p, q in zip(pool, scales)]
-    assert all(cube._integerized(p)[2] > 1 for p in scaled)
+    assert all(p._row[2] > 1 for p in scaled)
     position = {p: i for i, p in enumerate(pool)}
     want = tuple(scaled[position[p]] for p in greedy_cover(5, pool))
     assert greedy_cover(5, scaled).planes == want
@@ -404,7 +404,7 @@ def test_covered_bitsets_match_covered_set(n_pool, scale):
     # scaling every plane by >= 2^63 keeps its zero set and takes the
     # object-dtype branch of the evaluator
     big = [Hyperplane(tuple(scale * c for c in p.a), scale * p.b) for p in pool]
-    assert not pool or not cube._int64_safe([cube._integerized(p) for p in big])
+    assert not pool or not cube._int64_safe([p._row for p in big])
     assert covered_bitsets(big, n) == want
     assert [bits_of_covered_set(p) for p in big] == want
 
