@@ -195,7 +195,8 @@ def cmd_interp(args) -> int:
     with _open_input(args.poly) as stream:
         poly = read_poly(stream)
     try:
-        subset = sorted({int(tok) for tok in args.subset.split(",") if tok.strip()})
+        # A list, not a set: a repeated label must reach the layout check.
+        subset = sorted(int(tok) for tok in args.subset.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"interp: cannot parse subset {args.subset!r}") from None
     d = len(subset)

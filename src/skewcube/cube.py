@@ -20,9 +20,10 @@ Both run through one vectorized evaluator, _zero_hits, over a mixed-radix
 grid (radix s_c + 1 for the class points, 2 for masks), chunk by chunk over
 aligned index ranges. It builds the sums of the low digits for blocks of
 planes (at most 2^chunk_bits cells), once per block, and compares each
-plane's with its per-chunk target. It has two consumers: verify_cover's
-range jobs sum weighted counts, and _bitsets packs each plane's covered
-masks into uint64 words, which covered_set unpacks and the search runs on.
+plane's with its per-chunk target, yielding a boolean hit matrix. Of its two
+consumers, verify_cover's range jobs sum weighted counts and _bitsets packs
+the hits into uint64 words: the search pool's rows directly, and through
+_plane_words the Hyperplanes that covered_set and greedy_cover evaluate.
 Its arrays are int64 when the scaled integer values fit comfortably and
 Python ints otherwise, so no input changes the exactness of the answer.
 """
@@ -278,7 +279,7 @@ def _layout(radix, chunk_bits: int) -> tuple[int, int]:
 
 
 def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
-    """Yield (block, k, flat): where the planes of a block vanish in chunk k of [lo, hi).
+    """Yield (block, k, hit): where the planes of a block vanish in chunk k of [lo, hi).
 
     A grid point t has digit t_c in 0..radix[c] - 1, digit 0 fastest, and the
     value b + sum_c a_c (radix[c] - 1) - 2 sum_c a_c t_c; with every radix 2
@@ -288,9 +289,9 @@ def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
     less the chunk's high sum; if that total is odd it meets no point. The
     planes go in blocks of at most 2^chunk_bits cells (planes x chunk width),
     in the dtype of a and b. Each block builds its low sums once, by shifted
-    adds, and compares them with the target of every chunk in turn. flat
-    indexes the block's planes x offsets row-major, so it ascends by plane,
-    then offset. [lo, hi) must be a whole number of chunks. Its consumers are
+    adds, and compares them with the target of every chunk in turn. hit is
+    the boolean matrix of the block's planes x chunk offsets, True where the
+    plane vanishes. [lo, hi) must be a whole number of chunks. Its consumers are
     _verify_range_job (weighted counts over the class grid) and _bitsets
     (packed covered masks).
     """
@@ -314,7 +315,7 @@ def _zero_hits(a, b, radix, lo: int, hi: int, chunk_bits: int):
                 np.add(sums[:, size * (d - 1) : size * d], coeffs[:, c, None], out=sums[:, size * d : size * (d + 1)])
             size *= int(radix[c])
         for k in range(len(high)):
-            yield block, k, np.flatnonzero(sums == targets[:, k, None])
+            yield block, k, sums == targets[:, k, None]
 
 
 def _bitsets(a, b, n: int, chunk_bits: int = _CHUNK_BITS):
@@ -328,12 +329,17 @@ def _bitsets(a, b, n: int, chunk_bits: int = _CHUNK_BITS):
     width = _layout(radix, chunk_bits)[1]
     assert width == 1 << n or width % 64 == 0, "a chunk must be the cube or whole words"
     out = np.zeros((len(b), max(8, (1 << n) >> 3)), dtype=np.uint8)
-    for block, k, flat in _zero_hits(a, b, radix, 0, 1 << n, chunk_bits):
-        hit = np.zeros((block.size, width), dtype=bool)
-        hit.ravel()[flat] = True
+    for block, k, hit in _zero_hits(a, b, radix, 0, 1 << n, chunk_bits):
         packed = np.packbits(hit, axis=1, bitorder="little")
         out[block, k * packed.shape[1] : (k + 1) * packed.shape[1]] = packed
     return out.view("<u8")
+
+
+def _plane_words(planes, n: int):
+    """The _bitsets words of Hyperplanes over {-1,1}^n, read off the integer
+    rows ``_row`` stored when each plane was built."""
+    _check_exhaustive(n)
+    return _bitsets(*_plane_arrays([p._row for p in planes], n), n)
 
 
 def _coordinate_classes(a) -> tuple[list[int], list[int], int]:
@@ -380,7 +386,8 @@ def _verify_range_job(args):
     unit = bool((radix[:low] == 2).all())
     covered = np.zeros(hi - lo, dtype=bool)
     counts = np.zeros(len(b), dtype=dtype)
-    for block, k, flat in _zero_hits(a, b, radix, lo, hi, chunk_bits):
+    for block, k, hit in _zero_hits(a, b, radix, lo, hi, chunk_bits):
+        flat = np.flatnonzero(hit)  # ascending by plane, then offset
         offsets = flat % width
         covered[k * width + offsets] = True
         ends = np.searchsorted(flat, np.arange(block.size + 1) * width)
@@ -442,8 +449,7 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     nn = plane.n if n is None else n
     if nn != plane.n:
         raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
-    _check_exhaustive(nn)
-    row = _bitsets(*_plane_arrays([plane._row], nn), nn)[0]
+    row = _plane_words([plane], nn)[0]
     # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
     words = np.flatnonzero(row)
     w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))

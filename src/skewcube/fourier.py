@@ -76,6 +76,8 @@ class MultilinearPoly:
     def value_at(self, bits: int) -> tuple[Fraction, ...]:
         """Evaluate at a point mask: each component's numerator total plus
         the column sum of the flips of the terms that are odd at the mask."""
+        if bits < 0 or bits >> self.n:
+            raise UsageError(f"mask 0x{bits:x} out of range for n={self.n}")
         odd = [flip for mask, flip in self._flips if (mask & bits).bit_count() & 1]
         acc = map(sum, zip(*odd), self._total) if odd else self._total
         den = self._den

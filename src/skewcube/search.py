@@ -3,8 +3,10 @@
 The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
 and do somewhere by one capped pass of ``cube._bitsets``, and orders them
-canonically. The same pass gives the search its bitsets, one row of uint64
-words per plane. The cover search is depth-first branch and bound with
+canonically. It stays three numpy arrays, the coefficient matrix, the offsets
+and the bitsets (one row of uint64 words per plane), from that pass to the
+search, which reads its symmetry rule and its root representatives off the
+coefficient matrix. The cover search is depth-first branch and bound with
 iterative deepening on the family size, starting at the proven lower bound
 ceil(n/2 + 1): asking for fewer planes than that is vacuous by the bound, and
 the search reports it as exhausted without exploring. Inside the tree two
@@ -29,9 +31,7 @@ unconditional nonexistence statements.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -120,23 +120,27 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28,
     or when B (2B)^(n-1) (2 min(offset_bound, nB) + 1) raw planes exceed 2^20.
 
-    The planes come straight from ``_pool_rows``' int rows through
+    The planes come straight from ``_pool_rows``' arrays through
     ``Hyperplane._from_int_row``, with no per-row checks. The rows run with b
-    fastest, so each run of rows with one a shares a single tuple of
-    Fractions (2,016 of them for the 13,088 planes of n = 6, B = 2).
+    fastest, so each run of rows with one a shares a single tuple of ints and
+    one of Fractions (2,016 of them for the 13,088 planes of n = 6, B = 2).
     """
+    a, b, _ = _pool_rows(n, coeff_bound, offset_bound)
+    # A run starts where a row's a differs from the row before (a[0] - 1 for row 0).
+    starts = np.flatnonzero(np.diff(a, axis=0, prepend=a[:1] - 1).any(axis=1)).tolist()
     pool: list[Hyperplane] = []
-    for a, rows in itertools.groupby(_pool_rows(n, coeff_bound, offset_bound)[0], key=operator.itemgetter(0)):
-        fractions = tuple(map(cube._fraction, a))
-        pool += [Hyperplane._from_int_row(a, b, fractions) for _, b in rows]
+    for lo, hi in zip(starts, starts[1:] + [len(b)]):
+        row = tuple(a[lo].tolist())
+        fractions = tuple(map(cube._fraction, row))
+        pool += [Hyperplane._from_int_row(row, v, fractions) for v in b[lo:hi].tolist()]
     return pool
 
 
 def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
-    """The pool's integer rows (a, b) in colex order and their bitsets: the raw
-    grid, numbered with b fastest, then a_1..a_n, is decoded, masked by parity
-    and gcd and handed to ``cube._bitsets`` in slices of at most
-    2^_CHUNK_BITS cells."""
+    """The pool as int64 arrays (a, b, words) in colex order: coefficient rows,
+    offsets and bitsets. The raw grid, numbered with b fastest, then
+    a_1..a_n, is decoded, masked by parity and gcd and handed to
+    ``cube._bitsets`` in slices of at most 2^_CHUNK_BITS cells."""
     if n < 1:
         raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
@@ -151,7 +155,7 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     total, step = math.prod(shape), max(1, (1 << cube._CHUNK_BITS) >> n)
     if total > _POOL_ROWS:
         raise DimensionTooLarge(f"pool grid of {total} raw planes exceeds {_POOL_ROWS}")
-    rows, words = [], []
+    parts = []
     for start in range(0, total, step):
         *tail, first, b = np.unravel_index(np.arange(start, min(start + step, total)), shape)
         # Digit d of a_2..a_n stands for the d-th of -B..-1, 1..B.
@@ -164,33 +168,13 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
         a, b = np.stack(cols, axis=1)[keep], b[keep]
         packed = cube._bitsets(a, b, n)
         hits = packed.any(axis=1)
-        rows += zip(map(tuple, a[hits].tolist()), b[hits].tolist())
-        words.append(packed[hits])
-    return rows, np.concatenate(words)
+        parts.append((a[hits], b[hits], packed[hits]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _ints(words) -> list[int]:
     """Per row of a word matrix, the int whose bit m is bit m of the row."""
     return [int.from_bytes(row.tobytes(), "little") for row in words]
-
-
-def _covered_words(pool: list[Hyperplane], n: int):
-    """The ``cube._bitsets`` word matrix of planes with any rational rows.
-
-    Each plane's integer row ``_row`` was stored when it was built, by
-    ``Hyperplane._from_int_row`` for a ``candidate_pool`` plane, so this
-    integerizes nothing; ``cube._plane_arrays`` picks int64 without a
-    Python sum per row.
-    """
-    cube._check_exhaustive(n)
-    return cube._bitsets(*cube._plane_arrays([p._row for p in pool], n), n)
-
-
-def _canonical_root(a, b) -> bool:
-    # Representative of the orbit under coordinate permutations and sign
-    # flips (plus plane negation): coefficients positive and ascending,
-    # offset nonnegative.
-    return all(c > 0 for c in a) and all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and b >= 0
 
 
 def min_cover_search(config: SearchConfig) -> SearchOutcome:
@@ -274,8 +258,8 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     n = config.n
     offset = config.offset_bound if config.offset_bound is not None else n
-    pool, words = _pool_rows(n, config.coeff_bound, offset)
-    pool_size = len(pool)
+    coeffs, offsets, words = _pool_rows(n, config.coeff_bound, offset)
+    pool_size = len(offsets)
 
     k_lo = lower_bound(n)
     if config.max_k < k_lo:
@@ -302,13 +286,14 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     # unnbr[v + 1]: the complement of v and every point sharing a pool plane
     # with it, indexed by the bit length of 1 << v.
     unnbr = [0] + [~(1 << v | m) for v, m in enumerate(near)]
-    # The coefficient rows as one matrix, for the symmetry rule's compare.
-    coeffs = np.array([a for a, _ in pool], dtype=np.int64).reshape(pool_size, n)
-    roots = None
-    if config.canonical_first_plane:
-        roots = np.array(
-            [i for i, (a, b) in enumerate(pool) if _canonical_root(a, b)], dtype=np.intp
-        )
+    # The coefficient rows as lists, for the symmetry rule's column reads
+    # and the family found.
+    rows = coeffs.tolist()
+    # The root's candidates, when enabled: one representative per orbit under
+    # coordinate permutations and sign flips (plus plane negation), with the
+    # coefficients positive and ascending and the offset nonnegative.
+    canonical = (coeffs > 0).all(axis=1) & (coeffs[:, :-1] <= coeffs[:, 1:]).all(axis=1) & (offsets >= 0)
+    roots = np.flatnonzero(canonical) if config.canonical_first_plane else None
     nbytes = words.shape[1] * 8
     # Child i of a node gets the sort key i - fresh_i * 2^32: keys ascend as
     # (-fresh_i, i) does, and fresh_i >= need exactly when the key is below
@@ -337,7 +322,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         # The symmetry rule: consecutive members lo < hi of each class of
         # coordinates 2..n, a class being one column of the chosen planes'
         # coefficients and v's bits; keep the rows with a_lo >= a_hi.
-        columns = zip(*(pool[i][0] for i in chosen), [v >> j & 1 for j in range(n)])
+        columns = zip(*(rows[i] for i in chosen), [v >> j & 1 for j in range(n)])
         next(columns)  # coordinate 1 is a class of its own
         last, lo, hi = {}, [], []
         for j, column in enumerate(columns, 1):
@@ -392,7 +377,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     for k in range(k_lo, config.max_k + 1):
         nodes += 1
         if width <= k * max_cov and packs(full, k) and expand(full, k):
-            family = CoverFamily(tuple(Hyperplane._from_int_row(*pool[i]) for i in chosen))
+            family = CoverFamily(tuple(Hyperplane._from_int_row(tuple(rows[i]), int(offsets[i])) for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")
             return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, pool_size)
@@ -414,7 +399,7 @@ def greedy_cover(n: int, pool) -> CoverFamily:
     for p in planes:
         if p.n != n:
             raise DimensionMismatch(f"pool plane has n={p.n}, expected {n}")
-    words = _covered_words(planes, n)
+    words = cube._plane_words(planes, n)
     covered = np.zeros(words.shape[1], dtype=words.dtype)
     left = 1 << n
     chosen: list[int] = []

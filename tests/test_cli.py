@@ -173,6 +173,25 @@ def test_interp_duplicate_subset_rejected(capsys, monkeypatch):
     assert code == 2
 
 
+def test_interp_repeated_label_exit_4(capsys, monkeypatch):
+    # -S 2,2 names one label twice, which build_scheme refuses; the CLI
+    # keeps the repeat so that its layout check sees it
+    from skewcube.interpolation import build_scheme
+
+    with pytest.raises(errors.BadSubsetSize):
+        build_scheme(6, 2, 2, [2, 2])
+    poly = json.dumps({"n": 6, "k": 1, "coeffs": [{"S": [2], "c": [1]}]})
+    code, out, err = run(
+        ["interp", "-", "--m", "2", "-S", "2,2"],
+        stdin=poly,
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: need a subset of exactly 2 distinct labels, got (2, 2)\n"
+
+
 def test_kernel_base_case(capsys):
     code, out, _ = run(["kernel", "3", "1", "1", "1", "1"], capsys=capsys)
     assert code == 0

@@ -234,6 +234,14 @@ def test_poly_integer_numerators_are_not_fields():
     assert MultilinearPoly(4, 1, {}).value_at(5) == (Fraction(0),)
 
 
+@pytest.mark.parametrize("bits", [1 << 4, -1])
+def test_value_at_mask_out_of_range(bits):
+    # unchecked, 2^4 would read as mask 0 and -1 as mask 15
+    poly = MultilinearPoly(4, 1, {0b1: (1,), 0b1111: (2,)})
+    with pytest.raises(UsageError, match="out of range for n=4"):
+        poly.value_at(bits)
+
+
 def test_value_table_huge_n_is_usage_error():
     from skewcube.errors import UsageError
 

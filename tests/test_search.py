@@ -18,8 +18,6 @@ from skewcube.search import (
     SearchConfig,
     SearchOutcome,
     SearchStatus,
-    _canonical_root,
-    _covered_words,
     _ints,
     _pool_rows,
     candidate_pool,
@@ -33,7 +31,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def covered_bitsets(pool, n):
     """Per plane, the int whose bit m is set iff the plane covers mask m."""
-    return _ints(_covered_words(pool, n))
+    return _ints(cube._plane_words(pool, n))
+
+
+def pool_rows(n, coeff_bound, offset):
+    """``_pool_rows``' coefficient rows and offsets as (tuple, int) pairs."""
+    a, b, _ = _pool_rows(n, coeff_bound, offset)
+    return list(zip(map(tuple, a.tolist()), b.tolist()))
 
 
 def test_lower_bound_values():
@@ -149,8 +153,9 @@ def reference_pool(n, coeff_bound, offset_bound):
 def assert_pool_matches_reference(n, coeff_bound, offset):
     want = reference_pool(n, coeff_bound, offset)
     assert candidate_pool(n, coeff_bound, offset) == want
-    rows, words = _pool_rows(n, coeff_bound, offset)
-    assert rows == [(p.a, p.b) for p in want]
+    a, b, words = _pool_rows(n, coeff_bound, offset)
+    assert a.dtype == b.dtype == np.int64 and a.shape == (len(want), n)
+    assert list(zip(map(tuple, a.tolist()), b.tolist())) == [(p.a, p.b) for p in want]
     assert _ints(words) == covered_bitsets(want, n)
 
 
@@ -171,7 +176,7 @@ def test_pool_matches_reference(n, coeff_bound):
 def test_small_pools_exercise_the_covering_filter():
     raw = reference_raw(2, 2, 4)
     assert (len(raw), len(candidate_pool(2, 2, 4))) == (26, 22)
-    dropping = [cfg for cfg in SMALL_POOLS if len(_pool_rows(*cfg)[0]) < len(reference_raw(*cfg))]
+    dropping = [cfg for cfg in SMALL_POOLS if len(_pool_rows(*cfg)[1]) < len(reference_raw(*cfg))]
     assert len(dropping) == 47
 
 
@@ -438,6 +443,13 @@ def first_of_orbit(a, chosen, v):
     return all(a[j] >= a[k] for j, k in same)
 
 
+def _canonical_root(a, b) -> bool:
+    # Representative of the orbit under coordinate permutations and sign
+    # flips (plus plane negation): coefficients positive and ascending,
+    # offset nonnegative.
+    return all(c > 0 for c in a) and all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and b >= 0
+
+
 def reference_search(config, symmetry=True):
     """The search with one recursive call per child, bounds tested on entry.
 
@@ -674,7 +686,7 @@ def assert_pool_planes_match_the_public_constructor(n, coeff_bound, offset):
     """candidate_pool's planes against Hyperplane(a, b) of the same rows,
     in every way a caller can see them; returns the public planes."""
     pool = candidate_pool(n, coeff_bound, offset)
-    want = [Hyperplane(a, b) for a, b in _pool_rows(n, coeff_bound, offset)[0]]
+    want = [Hyperplane(a, b) for a, b in pool_rows(n, coeff_bound, offset)]
     assert_same_planes(pool, want)
     # == compares the class and the fields, so hash and repr follow from it
     # unless a plane is built apart from its fields; a pickle also records
