@@ -247,7 +247,6 @@ def cmd_search(args) -> int:
         offset_bound=args.offset_bound,
         max_k=args.max_k,
         time_budget=args.time_budget,
-        canonical_first_plane=not args.no_canonical_first,
     )
     outcome = min_cover_search(config)
     family = outcome.family
@@ -312,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset-bound", type=int, default=None)
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--no-canonical-first", action="store_true")
     p.set_defaults(func=cmd_search)
 
     return parser

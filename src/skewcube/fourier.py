@@ -157,7 +157,8 @@ def w_set(n: int, m: int) -> list[CubePoint]:
         raise BadModulus(f"modulus must be >= 2, got {m}")
     _check_exhaustive(n)
     masks = np.arange(1 << n, dtype=np.int64)
-    masks = masks[np.bitwise_count(masks) % m == 0]
+    # Weights are <= n, so an m past n divides weight 0 alone, as uint8-safe n + 1 does.
+    masks = masks[np.bitwise_count(masks) % min(m, n + 1) == 0]
     return [CubePoint._from_mask(x, n) for x in masks.tolist()]
 
 

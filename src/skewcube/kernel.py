@@ -122,12 +122,10 @@ def base_case_det(a1, a2, a3) -> Fraction:
 def product_vector(a: Sequence, d: int, K) -> tuple[Fraction, ...]:
     """The vector c with c_S = K * prod of a_i over S, d-subsets in colex order.
 
-    Applying the system to it scales each row T by (d+1) * K * prod over T,
-    so it lies in the kernel only for K = 0.
+    ``a`` and ``d`` are checked as in ``build_system``. The system scales row
+    T of c by (d+1) * K * prod over T, so c is in the kernel only for K = 0.
     """
-    coeffs = tuple(exact(v) for v in a)
-    if any(c == 0 for c in coeffs):
-        raise ZeroCoefficient("all coefficients must be nonzero")
+    coeffs = check_system(len(a), d, a)
     scale = exact(K)
     out = []
     for S in subsets_colex(len(coeffs), d):

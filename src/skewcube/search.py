@@ -5,25 +5,26 @@ offset bounds, keeps only those that can vanish on the cube (parity filter)
 and do somewhere by one capped pass of ``cube._bitsets``, and orders them
 canonically. It stays three numpy arrays, the coefficient matrix, the offsets
 and the bitsets (one row of uint64 words per plane), from that pass to the
-search, which reads its symmetry rule and its root representatives off the
-coefficient matrix. The cover search is depth-first branch and bound with
-iterative deepening on the family size, starting at the proven lower bound
-ceil(n/2 + 1): asking for fewer planes than that is vacuous by the bound, and
-the search reports it as exhausted without exploring. Inside the tree two
-lower bounds prune a child whose remaining budget cannot finish the cover: a
-counting rule (the budget times the largest single-plane coverage is below
-the number of uncovered points) and a packing rule (more than budget
-uncovered points, no two of which lie on a common pool plane). The packing
-rule is sound because each of those points needs a plane of its own. A node
-tests its children against both rules before recursing: one popcount over
-the word rows gives every child's fresh coverage, the counting rule cuts a
-suffix of the sorted children with no call, and the packing rule is tested
-on each child that survives it. Before either rule, a symmetry rule drops
-every child that is not the first of its orbit under the permutations of
-coordinates that fix the node (the lex-leader form of Crawford, Ginsberg,
-Luks and Roy 1996): the first member is the one the search tries first, and
-its mates hold a cover exactly when it does, so the rule changes node
-counts but never the status or the family found.
+search, which reads its symmetry rule and its root rule off the coefficient
+matrix. The root branches only on the canonical planes, one per orbit under
+coordinate permutations, sign flips and negation. The cover search is
+depth-first branch and bound with iterative deepening on the family size,
+starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
+that is vacuous by the bound, and the search reports it as exhausted without
+exploring. Inside the tree two lower bounds prune a child whose remaining
+budget cannot finish the cover: a counting rule (the budget times the largest
+single-plane coverage is below the number of uncovered points) and a packing
+rule (more than budget uncovered points, no two of which lie on a common pool
+plane). The packing rule is sound because each of those points needs a plane
+of its own. A node tests its children against both rules before recursing: one
+popcount over the word rows gives every child's fresh coverage, the counting
+rule cuts a suffix of the sorted children with no call, and the packing rule
+is tested on each child that survives it. Before either rule, a symmetry rule
+drops every child that is not the first of its orbit under the permutations of
+coordinates that fix the node (the lex-leader form of Crawford, Ginsberg, Luks
+and Roy 1996): the first member is the one the search tries first, and its
+mates hold a cover exactly when it does, so the rule changes node counts but
+never the status or the family found.
 Negative outcomes are always claims relative to the configured bounds, never
 unconditional nonexistence statements.
 """
@@ -78,7 +79,6 @@ class SearchConfig:
     offset_bound: int | None = None
     max_k: int = 8
     time_budget: float | None = None
-    canonical_first_plane: bool = True
 
     def __post_init__(self):
         # Messages name each field by its command-line flag. The test is
@@ -180,12 +180,12 @@ def _ints(words) -> list[int]:
 def min_cover_search(config: SearchConfig) -> SearchOutcome:
     """Iterative-deepening DFS for a cover of at most ``max_k`` pool planes.
 
-    At each node the lowest-mask uncovered point v is selected and the branch
-    runs over the pool planes covering it, ordered by descending fresh
-    coverage (points of the node it newly covers) with pool order breaking
-    ties. Before any bound, the symmetry rule below drops every candidate
-    that is not the first of its orbit. A child is cut, before any call, by
-    either of two lower bounds on the planes still needed:
+    The root branches on the canonical planes of the root rule below. Every
+    other node selects its lowest-mask uncovered point v and branches on the
+    pool planes covering it that the symmetry rule below keeps. Children run
+    in descending fresh coverage (points of the node they newly cover), pool
+    order breaking ties. A child is cut, before any call, by either of two
+    lower bounds on the planes still needed:
 
     - counting: the child's budget times the best single-plane coverage
       cannot reach its uncovered count. With U uncovered points and budget b
@@ -203,10 +203,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     The root of each family size k is tested by the same two rules. Both
     rules remove only subtrees without a cover within the budget, so they
-    change node counts but never which cover is found first. At the root,
-    when enabled, branching is restricted to orbit representatives under
-    coordinate permutations and sign flips, which is sound because the pool
-    is closed under those symmetries.
+    change node counts but never which cover is found first.
 
     Symmetry rule, at every node that branches on the planes covering v.
     Coordinates 2..n fall into classes: j and j' share one when every chosen
@@ -243,6 +240,12 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     This is the lex-leader form of Crawford, Ginsberg, Luks and Roy (1996),
     restricted to the node's stabiliser so that it keeps the first cover.
+
+    Root rule. The canonical planes, coefficients positive and ascending and
+    offset nonnegative, are one per orbit under coordinate permutations, sign
+    flips and negation, which map the pool onto itself. A cover within the
+    budget maps to one holding a canonical plane c, and the search below c
+    is complete by the argument above, so the rule never changes the status.
 
     ``nodes_explored`` counts every node generated: each root, and every
     child of a node that branched, whether it was cut by a bound before any
@@ -289,11 +292,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
     # The coefficient rows as lists, for the symmetry rule's column reads
     # and the family found.
     rows = coeffs.tolist()
-    # The root's candidates, when enabled: one representative per orbit under
-    # coordinate permutations and sign flips (plus plane negation), with the
-    # coefficients positive and ascending and the offset nonnegative.
-    canonical = (coeffs > 0).all(axis=1) & (coeffs[:, :-1] <= coeffs[:, 1:]).all(axis=1) & (offsets >= 0)
-    roots = np.flatnonzero(canonical) if config.canonical_first_plane else None
+    roots = np.flatnonzero((coeffs > 0).all(axis=1) & (coeffs[:, :-1] <= coeffs[:, 1:]).all(axis=1) & (offsets >= 0))
     nbytes = words.shape[1] * 8
     # Child i of a node gets the sort key i - fresh_i * 2^32: keys ascend as
     # (-fresh_i, i) does, and fresh_i >= need exactly when the key is below
@@ -318,10 +317,13 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
             rest &= unnbr[(rest & -rest).bit_length()]
         return True
 
-    def first_of_orbits(cands, v: int):
-        # The symmetry rule: consecutive members lo < hi of each class of
+    def first_of_orbits(uncovered: int):
+        # The planes covering the lowest uncovered point v that the symmetry
+        # rule keeps: consecutive members lo < hi of each class of
         # coordinates 2..n, a class being one column of the chosen planes'
         # coefficients and v's bits; keep the rows with a_lo >= a_hi.
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = covering[v]
         columns = zip(*(rows[i] for i in chosen), [v >> j & 1 for j in range(n)])
         next(columns)  # coordinate 1 is a class of its own
         last, lo, hi = {}, [], []
@@ -339,11 +341,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         """Branch at a node that passed both bounds; True when a cover lies
         below it, left on ``chosen``."""
         nonlocal nodes, next_check, timed_out
-        if chosen or roots is None:
-            v = (uncovered & -uncovered).bit_length() - 1
-            cands = first_of_orbits(covering[v], v)
-        else:
-            cands = roots
+        cands = first_of_orbits(uncovered) if chosen else roots
         left = uncovered.bit_count()
         # Counting bound: child i keeps left - fresh_i points for child_budget
         # planes, so it fails exactly when fresh_i < need.
@@ -376,6 +374,10 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
 
     for k in range(k_lo, config.max_k + 1):
         nodes += 1
+        if nodes >= next_check:
+            if time.monotonic() > deadline:
+                return SearchOutcome(SearchStatus.TIMEOUT, None, nodes, pool_size)
+            next_check = nodes + _CHECK_EVERY
         if width <= k * max_cov and packs(full, k) and expand(full, k):
             family = CoverFamily(tuple(Hyperplane._from_int_row(tuple(rows[i]), int(offsets[i])) for i in chosen))
             if not verify_cover(family).covered:

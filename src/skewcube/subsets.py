@@ -41,7 +41,7 @@ def subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
     if k == 0:
         yield ()
         return
-    if k > n:
+    if k < 0 or k > n:
         return
     for top in range(k, n + 1):
         for rest in subsets_colex(top - 1, k - 1):

@@ -257,6 +257,12 @@ def test_search_vacuous_negative_exit(capsys):
     assert json.loads(out)["status"] == "exhausted_no_cover"
 
 
+def test_search_no_canonical_first_flag_is_usage_error(capsys):
+    code, out, _ = run(["search", "--n", "3", "--no-canonical-first"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_outputs_byte_deterministic(capsys, monkeypatch):
     runs = []
     for _ in range(2):

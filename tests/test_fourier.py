@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcube.cube import CubePoint
 from skewcube.errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from skewcube.fourier import (
     MultilinearPoly,
@@ -153,6 +154,11 @@ def test_w_set_binomial_sum(n):
     for m in range(2, n + 1):
         want = sum(math.comb(n, j) for j in range(0, n + 1, m))
         assert len(w_set(n, m)) == want
+
+
+@pytest.mark.parametrize("m", [5, 255, 256, 10**9, 10**30])
+def test_w_set_modulus_past_n_keeps_only_weight_0(m):
+    assert w_set(4, m) == [CubePoint(0, 4)]
 
 
 def test_w_set_bad_modulus():

@@ -173,3 +173,16 @@ def test_build_system_degree_out_of_range(d):
 
     with pytest.raises(DegreeOutOfRange):
         build_system((1, 2, 3), d)
+
+
+@pytest.mark.parametrize("d", [-1, 3, 5])
+def test_product_vector_degree_out_of_range(d):
+    from skewcube.errors import DegreeOutOfRange
+
+    with pytest.raises(DegreeOutOfRange):
+        product_vector((1, 2, 3), d, 1)
+
+
+@pytest.mark.parametrize("k", [-1, -5, 4])
+def test_subsets_colex_out_of_range_is_empty(k):
+    assert list(subsets_colex(3, k)) == []

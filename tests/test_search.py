@@ -215,14 +215,6 @@ def test_search_deterministic():
     assert a.family == b.family
 
 
-def test_search_canonical_and_plain_agree_on_status():
-    plain = min_cover_search(
-        SearchConfig(n=3, coeff_bound=1, offset_bound=3, max_k=3, canonical_first_plane=False)
-    )
-    canon = min_cover_search(SearchConfig(n=3, coeff_bound=1, offset_bound=3, max_k=3))
-    assert plain.status == canon.status == SearchStatus.EXHAUSTED_NO_COVER
-
-
 def test_search_monotone_in_coeff_bound():
     # enlarging the pool can only help: found stays found
     small = min_cover_search(SearchConfig(n=3, coeff_bound=1, offset_bound=3, max_k=4))
@@ -339,12 +331,17 @@ def brute_min_cover_size(cov, n, max_k):
     return None
 
 
-@pytest.mark.parametrize("canonical", [True, False])
+# A budget no small search reaches: a timed search that does not run out
+# must return what the untimed one does, node counts included.
+LONG_BUDGET = 3600.0
+
+
+@pytest.mark.parametrize("timed", [True, False])
 @pytest.mark.parametrize(
     "n, coeff_bound",
     [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)],
 )
-def test_search_matches_brute_force(n, coeff_bound, canonical):
+def test_search_matches_brute_force(n, coeff_bound, timed):
     max_k = n + 1
     for offset in range(n + 1):
         pool = candidate_pool(n, coeff_bound, offset)
@@ -355,7 +352,7 @@ def test_search_matches_brute_force(n, coeff_bound, canonical):
                 coeff_bound=coeff_bound,
                 offset_bound=offset,
                 max_k=max_k,
-                canonical_first_plane=canonical,
+                time_budget=LONG_BUDGET if timed else None,
             )
         )
         if want is None:
@@ -455,8 +452,9 @@ def reference_search(config, symmetry=True):
 
     Same pool, bitsets, branching order and bounds as ``min_cover_search``,
     with every child a call of its own that counts itself and then tests
-    the counting and packing bounds. No time budget. With ``symmetry`` the
-    children of a node branching on v are those ``first_of_orbit`` keeps,
+    the counting and packing bounds. No time budget. The root's children are
+    the planes ``_canonical_root`` accepts. With ``symmetry`` the children
+    of a node branching on v are those ``first_of_orbit`` keeps,
     as in ``min_cover_search``; without it every plane covering v is a
     child, as in the search before the rule.
     """
@@ -475,7 +473,7 @@ def reference_search(config, symmetry=True):
     for v, planes in enumerate(covering):
         for i in planes:
             nbr[v] |= cov[i]
-    roots = [i for i, p in enumerate(pool) if _canonical_root(p.a, p.b)] if config.canonical_first_plane else None
+    roots = [i for i, p in enumerate(pool) if _canonical_root(p.a, p.b)]
     nodes = 0
 
     def dfs(covered, chosen, budget):
@@ -493,7 +491,7 @@ def reference_search(config, symmetry=True):
             if packed > budget:
                 return None
             rest &= ~nbr[(rest & -rest).bit_length() - 1]
-        if not chosen and roots is not None:
+        if not chosen:
             cands = roots
         else:
             v = (uncovered & -uncovered).bit_length() - 1
@@ -526,11 +524,11 @@ def assert_same_answer_without_the_rule(cfg):
     assert out.nodes_explored <= want.nodes_explored, cfg
 
 
-@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("timed", [True, False])
 @pytest.mark.parametrize(
     "n, coeff_bound", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
 )
-def test_search_matches_reference(n, coeff_bound, canonical):
+def test_search_matches_reference(n, coeff_bound, timed):
     # offsets past coeff_bound * n give the same pool
     for offset in range(coeff_bound * n + 1):
         cfg = SearchConfig(
@@ -538,7 +536,7 @@ def test_search_matches_reference(n, coeff_bound, canonical):
             coeff_bound=coeff_bound,
             offset_bound=offset,
             max_k=n + 1,
-            canonical_first_plane=canonical,
+            time_budget=LONG_BUDGET if timed else None,
         )
         assert min_cover_search(cfg) == reference_search(cfg), (n, coeff_bound, offset)
         assert_same_answer_without_the_rule(cfg)
@@ -592,6 +590,14 @@ def test_time_budget_zero_times_out():
     assert out.status is SearchStatus.TIMEOUT
     assert out.family is None
     assert 0 < out.nodes_explored < 623_342
+
+
+def test_time_budget_zero_times_out_when_every_root_is_cut():
+    # offset 0 at odd n leaves the pool empty, so each family size is one
+    # root cut by the counting bound and no node is ever expanded: the
+    # deepening loop itself must read the clock
+    out = min_cover_search(SearchConfig(3, 1, 0, 10_000, time_budget=0))
+    assert out == SearchOutcome(SearchStatus.TIMEOUT, None, 256, 0)
 
 
 def test_search_setup_keeps_one_copy_of_the_words(monkeypatch):
