@@ -4,8 +4,9 @@ Exit codes: 0 success (covered, match, certificate holds), 1 semantic
 negative (uncovered, mismatch, no cover found), 2 usage or parse failure,
 3 validation failure, 4 precondition violation. Codes 2 to 4 come from the
 ``exit_code`` of the raised ``SkewcubeError`` (see ``errors``), and ``main``
-prints every such error as one ``error: ...`` line on stderr; argparse's own
-usage errors and unreadable files also exit 2.
+prints every such error as one ``error: ...`` line on stderr. The argument
+parser raises its usage errors as ``UsageError``, so they print the same one
+line; unreadable files also exit 2 with one line.
 
 Plane files are JSON lines, one object per plane: {"a": [...], "b": ...}.
 Polynomial files are a single JSON object {"n", "k", "coeffs"} with 1-based,
@@ -269,8 +270,16 @@ def _env_workers() -> int:
         raise ParseError(f"SKEWCUBE_WORKERS must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its usage errors as ``UsageError``
+    instead of printing usage and exiting; its subparsers are _Parsers too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="skewcube")
+    parser = _Parser(prog="skewcube")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a generated plane family as JSON lines")

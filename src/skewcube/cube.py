@@ -67,8 +67,10 @@ def _numerators(rows) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm D of the denominators in rows of ints and Fractions, and each
     row as integer numerators over D: the one step from rationals to integers."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = math.lcm(*(q for row in ratios for _, q in row))
-    return den, [tuple(p * (den // q) for p, q in row) for row in ratios]
+    den = math.lcm(*{q for row in ratios for _, q in row})
+    if den == 1:
+        return den, [tuple([p for p, _ in row]) for row in ratios]
+    return den, [tuple([p * (den // q) for p, q in row]) for row in ratios]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -99,9 +101,8 @@ class CubePoint:
         0 <= bits < 2^n with n >= 1, built without checks. It equals
         CubePoint(bits, n) in ==, hash, repr and pickle."""
         point = object.__new__(cls)
-        fields = point.__dict__
-        fields["bits"] = bits
-        fields["n"] = n
+        object.__setattr__(point, "bits", bits)
+        object.__setattr__(point, "n", n)
         return point
 
     @property

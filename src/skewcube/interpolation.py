@@ -20,16 +20,17 @@ sign, terms of degree d meeting every chunk reduce to a product of single
 coordinate expectations, and each non-end coordinate is -1 with probability
 exactly 1/2.
 
-Recovery runs on integers. Every atom weight is a product of 1/m,
-1/(2*C(m-2, m/2-1)) and 2^-d, so the scheme stores one common weight
-denominator D and a signed integer numerator w per atom, and the weighted
-sum is (sum of w * value) / D. ``recover_coefficient`` first reads every
-atom's value in scheme order, then sums each component as one column of
-values. ``cube._numerators`` writes a column as integer numerators p over
-one denominator L, so the column's sum is (sum of w * p) / (L * D), divided
-once; when every value is an integer, L is 1 and p is the value. Each step is
-integer arithmetic, which is exact, so the result equals the rational sum
-term by term.
+Recovery runs on integers. A chunk state's probability is an integer over
+one chunk denominator, so the d + 1 distinct atom weights are built once each
+(see ``build_scheme``), and the scheme stores one common weight denominator D
+and a signed integer numerator w per atom; the weighted sum is
+(sum of w * value) / D. ``recover_coefficient`` reads every atom's value in
+scheme order, keeping a tuple of ints and Fractions as it is and checking any
+other value before it reads the next. ``cube._numerators`` then writes all
+the components as integer numerators p over one denominator L, so each
+component's sum is (sum of w * p) / (L * D), divided once; when every value
+is an integer, L is 1 and p is the value. Each step is integer arithmetic,
+which is exact, so the result equals the rational sum term by term.
 
 A scheme for modulus m and degree d has (2 * (1 + C(m-1, m/2)))^d atoms
 whatever n is. ``check_recovery_size`` bounds a recovery by that count
@@ -63,6 +64,8 @@ from .subsets import mask_of
 
 # Largest recovery check_recovery_size admits: atoms * (n + k) cells.
 MAX_RECOVERY_CELLS = 1 << 20
+# The entry types recover_coefficient sums without converting them.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,14 @@ class InterpolationScheme:
 
     Atoms are (point, weight, sign) with positive weights summing to exactly 1,
     every point's -1 count divisible by m, and no repeated points. All of that
-    is validated at construction, which also stores the common weight
-    denominator ``_den`` and the (point, signed integer numerator) pairs
-    ``_terms`` that ``recover_coefficient`` sums. They are not fields, so
-    equality and ``repr`` read ``atoms`` alone.
+    is validated at construction: the point checks on the int masks, and
+    ``exact``, the positivity check and the integer numerator once per
+    distinct weight object, since ``build_scheme`` shares one Fraction among
+    the atoms of equal weight. Construction stores the common weight
+    denominator ``_den``, the points ``_points`` and their signed integer
+    numerators ``_nums``, which ``recover_coefficient`` sums; ``_terms`` pairs
+    them up. None of these are fields, so equality and ``repr`` read ``atoms``
+    alone.
     """
 
     n: int
@@ -104,28 +111,33 @@ class InterpolationScheme:
     atoms: tuple[tuple[CubePoint, Fraction, int], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        weights: list[Fraction] = []
-        for point, weight, sign in self.atoms:
-            if point.n != self.n:
-                raise SkewcubeError("atom dimension mismatch")
-            if point.bits in seen:
-                raise SkewcubeError("duplicate atom point")
-            weight = exact(weight)
-            if weight <= 0:
-                raise SkewcubeError("atom weights must be positive")
-            if sign not in (-1, 1):
-                raise SkewcubeError("atom signs must be +-1")
-            if point.weight % self.m:
-                raise SkewcubeError("atom point outside W(m)")
-            seen.add(point.bits)
-            weights.append(weight)
-        den, (nums,) = _numerators((weights,))
+        points, weights, signs = tuple(zip(*self.atoms, strict=True)) or ((), (), ())
+        masks = [point.bits for point in points]
+        if not {self.n}.issuperset(point.n for point in points):
+            raise SkewcubeError("atom dimension mismatch")
+        if len(set(masks)) != len(masks):
+            raise SkewcubeError("duplicate atom point")
+        if any(count % self.m for count in set(map(int.bit_count, masks))):
+            raise SkewcubeError("atom point outside W(m)")
+        if signs.count(1) + signs.count(-1) != len(signs):
+            raise SkewcubeError("atom signs must be +-1")
+        # Each distinct weight object, keyed by id in first-seen order.
+        distinct = dict(zip(map(id, weights), weights))
+        values = [exact(weight) for weight in distinct.values()]
+        if any(value <= 0 for value in values):
+            raise SkewcubeError("atom weights must be positive")
+        den, (nums,) = _numerators((values,))
+        nums = list(map(dict(zip(distinct, nums)).__getitem__, map(id, weights)))
         if sum(nums) != den:
             raise SkewcubeError(f"atom weights sum to {Fraction(sum(nums), den)}, expected 1")
-        terms = tuple((point, num * sign) for (point, _, sign), num in zip(self.atoms, nums))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_nums", tuple(map(operator.mul, nums, signs)))
+
+    @property
+    def _terms(self) -> tuple[tuple[CubePoint, int], ...]:
+        """The (point, signed integer numerator) pairs, in atom order."""
+        return tuple(zip(self._points, self._nums))
 
 
 def _checked_subset(n: int, m: int, d: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -163,36 +175,6 @@ def chunk_layout(n: int, m: int, d: int, subset: Iterable[int]) -> ChunkLayout:
     return ChunkLayout(n, m, d, sub, chunks, extra, rest, tuple(order))
 
 
-def _chunk_states(layout: ChunkLayout) -> list[list[tuple[int, Fraction]]]:
-    """Per chunk, the support states as (mask of -1 labels, probability)."""
-    m = layout.m
-    plus_prob = Fraction(1, m)
-    heavy_prob = Fraction(1, 2 * math.comb(m - 2, m // 2 - 1))
-    per_chunk = []
-    for chunk in layout.chunks:
-        states = [(0, plus_prob)]
-        for negatives in itertools.combinations(chunk[:-1], m // 2):
-            states.append((mask_of(negatives), heavy_prob))
-        per_chunk.append(states)
-    return per_chunk
-
-
-def _support_distribution(layout: ChunkLayout) -> list[tuple[int, Fraction]]:
-    """The product distribution's support as (point mask, probability) pairs."""
-    extra_mask = mask_of(layout.extra)
-    out = []
-    for combo in itertools.product(*_chunk_states(layout)):
-        prob = Fraction(1)
-        base = 0
-        for mask, p in combo:
-            prob *= p
-            base |= mask
-        if base.bit_count() % layout.m:
-            base |= extra_mask
-        out.append((base, prob))
-    return out
-
-
 def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> InterpolationScheme:
     """Materialize the signed measure for the coefficient at ``subset``.
 
@@ -201,19 +183,35 @@ def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> Interpolation
     point mask. No two atoms share a point (see ``atom_count``), so each
     (state, sign) choice is one atom; ``InterpolationScheme`` still rejects a
     repeated point.
+
+    A chunk state's probability is an integer numerator over one chunk
+    denominator L = lcm(m, h), h = 2*C(m-2, m/2-1): L/m for all-plus and L/h
+    for each other state. An atom's weight is the product of its chunks'
+    numerators over (2L)^d, so it depends only on the number j of all-plus
+    chunks, and the d + 1 weights are built once, as ``weights[j]``.
     """
     layout = chunk_layout(n, m, d, subset)
-    chunk_masks = [mask_of(c) for c in layout.chunks]
+    h = 2 * math.comb(m - 2, m // 2 - 1)
+    lcm = math.lcm(m, h)
+    weights = [Fraction((lcm // m) ** j * (lcm // h) ** (d - j), (2 * lcm) ** d) for j in range(d + 1)]
+    # The product distribution's support as (mask of -1 labels, j), one chunk at a time.
+    support = [(0, 0)]
     # Per sign choice y: the xor of the negated chunks and the sign's product.
     flips = [(0, 1)]
-    for mask in chunk_masks:
+    for chunk in layout.chunks:
+        states = [mask_of(negatives) for negatives in itertools.combinations(chunk[:-1], m // 2)]
+        support = [(base, j + 1) for base, j in support] + [
+            (base | state, j) for base, j in support for state in states
+        ]
+        mask = mask_of(chunk)
         flips += [(f ^ mask, -s) for f, s in flips]
-    y_scale = Fraction(1, 1 << d)
+    extra_mask = mask_of(layout.extra)
     atoms = []
-    for base, prob in _support_distribution(layout):
-        weight = prob * y_scale
-        atoms += ((base ^ f, weight, s) for f, s in flips)
-    atoms.sort(key=lambda atom: atom[0])
+    for base, j in support:
+        if base.bit_count() % m:
+            base |= extra_mask
+        atoms += ((base ^ f, weights[j], s) for f, s in flips)
+    atoms.sort(key=operator.itemgetter(0))
     return InterpolationScheme(
         n, m, d, layout.subset, tuple((CubePoint._from_mask(bits, n), w, s) for bits, w, s in atoms)
     )
@@ -271,23 +269,24 @@ def recover_coefficient(
         raise TypeError("f must be a ValueTable or a callable")
 
     k = None
-    vecs = []
-    for point, _ in scheme._terms:
+    entries = []
+    for point in scheme._points:
         value = getter(point)
-        if value is None:
-            raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
-        vec = [v if type(v) is int else exact(v) for v in value]
-        if k is None:
-            k = len(vec)
-        elif len(vec) != k:
-            raise MissingValue("f returned vectors of inconsistent dimension")
-        vecs.append(vec)
-    weights = [w for _, w in scheme._terms]
-    out = []
-    for column in zip(*vecs):
-        den, (nums,) = _numerators((column,))
-        out.append(Fraction(sum(map(operator.mul, weights, nums)), den * scheme._den))
-    return tuple(out)
+        # A tuple of k ints and Fractions is summed as it is; any other value
+        # is checked and converted here, before f is called at the next atom.
+        if type(value) is not tuple or len(value) != k or not _EXACT_TYPES.issuperset(map(type, value)):
+            if value is None:
+                raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
+            value = tuple(v if type(v) is int else exact(v) for v in value)
+            if k is None:
+                k = len(value)
+            elif len(value) != k:
+                raise MissingValue("f returned vectors of inconsistent dimension")
+        entries += value
+    # Component j of atom i is entries[i * k + j].
+    den, (nums,) = _numerators((entries,))
+    den *= scheme._den
+    return tuple(Fraction(sum(map(operator.mul, scheme._nums, nums[j::k])), den) for j in range(k))
 
 
 def _krawtchouk_column(n: int, u: int, count: int) -> list[int]:

@@ -263,6 +263,23 @@ def test_search_no_canonical_first_flag_is_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--n", "3", "--bogus"], ["search"], ["search", "--n", "x"]],
+)
+def test_argparse_errors_are_one_line_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_prints_to_stdout_and_exits_0(capsys):
+    code, out, err = run(["search", "--help"], capsys=capsys)
+    assert code == 0
+    assert "--coeff-bound" in out and err == ""
+
+
 def test_outputs_byte_deterministic(capsys, monkeypatch):
     runs = []
     for _ in range(2):

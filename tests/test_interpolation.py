@@ -14,13 +14,14 @@ from skewcube.errors import (
     DegreeTooHigh,
     DimensionMismatch,
     MissingValue,
+    SkewcubeError,
 )
 from skewcube.cube import CubePoint
 from skewcube.fourier import inverse_wht, random_poly, w_set, wht
 from skewcube.interpolation import (
+    ChunkLayout,
     InterpolationScheme,
     _krawtchouk_column,
-    _support_distribution,
     build_scheme,
     check_recovery_size,
     chunk_layout,
@@ -28,6 +29,39 @@ from skewcube.interpolation import (
     vanishing_dimension,
 )
 from skewcube.subsets import mask_of
+
+
+# The chunk product distribution's support in plain Fraction arithmetic: the
+# oracle that reference_scheme and the distribution tests read, while
+# build_scheme works on integer numerators.
+def _chunk_states(layout: ChunkLayout) -> list[list[tuple[int, Fraction]]]:
+    """Per chunk, the support states as (mask of -1 labels, probability)."""
+    m = layout.m
+    plus_prob = Fraction(1, m)
+    heavy_prob = Fraction(1, 2 * math.comb(m - 2, m // 2 - 1))
+    per_chunk = []
+    for chunk in layout.chunks:
+        states = [(0, plus_prob)]
+        for negatives in itertools.combinations(chunk[:-1], m // 2):
+            states.append((mask_of(negatives), heavy_prob))
+        per_chunk.append(states)
+    return per_chunk
+
+
+def _support_distribution(layout: ChunkLayout) -> list[tuple[int, Fraction]]:
+    """The product distribution's support as (point mask, probability) pairs."""
+    extra_mask = mask_of(layout.extra)
+    out = []
+    for combo in itertools.product(*_chunk_states(layout)):
+        prob = Fraction(1)
+        base = 0
+        for mask, p in combo:
+            prob *= p
+            base |= mask
+        if base.bit_count() % layout.m:
+            base |= extra_mask
+        out.append((base, prob))
+    return out
 
 
 def test_layout_canonical_small():
@@ -474,6 +508,103 @@ def test_scheme_integer_weights_reproduce_atoms():
     assert [pt for pt, _ in scheme._terms] == [pt for pt, _, _ in scheme.atoms]
     for (_, w), (_, weight, sign) in zip(scheme._terms, scheme.atoms):
         assert Fraction(w, scheme._den) == sign * weight
+
+
+def test_scheme_integer_form_matches_the_reference_on_the_grid():
+    # reference_scheme's weights are Fraction products, one object per support point
+    for n, m, d, subset in itertools.islice(_reference_grid(), 0, None, 5):
+        scheme, want = build_scheme(n, m, d, subset), reference_scheme(n, m, d, subset)
+        assert (scheme._den, scheme._terms) == (want._den, want._terms), (n, m, d, subset)
+
+
+def _with_weights(scheme, weights):
+    """The scheme with atom i's weight replaced by weights[i]."""
+    atoms = tuple((pt, w, s) for (pt, _, s), w in zip(scheme.atoms, weights))
+    return InterpolationScheme(scheme.n, scheme.m, scheme.d, scheme.subset, atoms)
+
+
+@pytest.mark.parametrize("shape", _SCHEME_SHAPES + [(14, 4, 3, (4, 8, 12))])
+def test_shared_weights_integerize_like_distinct_ones(shape):
+    scheme = build_scheme(*shape)
+    weights = [w for _, w, _ in scheme.atoms]
+    # one Fraction object per number of all-plus chunks
+    assert len(set(map(id, weights))) == scheme.d + 1
+    distinct = [Fraction(w.numerator, w.denominator) for w in weights]
+    assert len(set(map(id, distinct))) == len(weights)
+    for form in (distinct, [f"{w.numerator}/{w.denominator}" for w in weights]):
+        other = _with_weights(scheme, form)
+        assert (other._den, other._terms) == (scheme._den, scheme._terms)
+
+
+def test_int_weight_integerizes_like_a_fraction():
+    scheme = build_scheme(1, 2, 0, ())
+    assert [(pt.bits, w, s) for pt, w, s in scheme.atoms] == [(0, 1, 1)]
+    other = _with_weights(scheme, [1])
+    assert (other._den, other._terms) == (scheme._den, scheme._terms) == (1, ((CubePoint(0, 1), 1),))
+
+
+def test_scheme_checks_hold_with_shared_weights():
+    scheme = build_scheme(5, 2, 2, (1, 4))
+    assert len(scheme.atoms) == 16
+    assert {w for _, w, _ in scheme.atoms} == {Fraction(1, 16)}
+    for weight, match in [
+        (Fraction(0), "positive"),
+        (Fraction(-1, 16), "positive"),
+        (Fraction(1, 8), r"sum to 2, expected 1"),
+    ]:
+        with pytest.raises(SkewcubeError, match=match):
+            _with_weights(scheme, [weight] * 16)
+    # a bad second weight object, with the weights still summing to 1
+    eighth = Fraction(1, 8)
+    for second, count in [(Fraction(0), 8), (Fraction(-7, 8), 1)]:
+        with pytest.raises(SkewcubeError, match="positive"):
+            _with_weights(scheme, [eighth] * (16 - count) + [second] * count)
+    atoms = list(scheme.atoms)
+    point, weight, sign = atoms[1]
+    for replaced, match in [
+        ((CubePoint(point.bits, 6), weight, sign), "dimension mismatch"),
+        ((atoms[0][0], weight, sign), "duplicate atom point"),
+        ((CubePoint(0b1, 5), weight, sign), "outside W"),
+        ((point, weight, 0), "signs"),
+    ]:
+        with pytest.raises(SkewcubeError, match=match):
+            InterpolationScheme(5, 2, 2, (1, 4), tuple(atoms[:1] + [replaced] + atoms[2:]))
+    with pytest.raises(ValueError):
+        InterpolationScheme(5, 2, 2, (1, 4), tuple(atoms[:1] + [atoms[1] + (0,)] + atoms[2:]))
+
+
+@pytest.mark.parametrize("bad", [None, (0.5, 1), (1, 2, 3), [1, 0.5]])
+def test_recover_calls_f_no_further_than_the_first_bad_atom(bad):
+    scheme = build_scheme(5, 2, 2, (1, 4))
+    calls = []
+
+    def f(pt):
+        calls.append(pt.bits)
+        return bad if len(calls) == 3 else (1, 2)
+
+    with pytest.raises((MissingValue, TypeError)):
+        recover_coefficient(scheme, f)
+    assert calls == [pt.bits for pt, _, _ in scheme.atoms[:3]]
+
+
+@pytest.mark.parametrize("shape", _SCHEME_SHAPES)
+def test_recover_tuples_lists_and_generators_agree(shape):
+    # tuples of ints and Fractions are summed as they are; lists and
+    # generators are converted atom by atom
+    scheme = build_scheme(*shape)
+    rng = random.Random(len(scheme.atoms))
+    rationals = {
+        pt.bits: (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7])))
+        for pt, _, _ in scheme.atoms
+    }
+    ints = {bits: (p, 5 * p - 1) for bits, (p, _) in rationals.items()}
+    for values in (ints, rationals):
+        want = _fraction_sum_oracle(scheme, lambda pt: values[pt.bits])
+        assert recover_coefficient(scheme, lambda pt: values[pt.bits]) == want
+        assert recover_coefficient(scheme, lambda pt: list(values[pt.bits])) == want
+        assert recover_coefficient(scheme, lambda pt: iter(values[pt.bits])) == want
+        mixed = lambda pt: list(values[pt.bits]) if pt.bits & 1 else values[pt.bits]
+        assert recover_coefficient(scheme, mixed) == want
 
 
 def test_atom_count_matches_build_scheme():
