@@ -11,12 +11,18 @@ line; unreadable files also exit 2 with one line.
 Plane files are JSON lines, one object per plane: {"a": [...], "b": ...}.
 Polynomial files are a single JSON object {"n", "k", "coeffs"} with 1-based,
 strictly increasing index lists. Rationals are JSON integers or strings
-"p/q" in lowest terms; floats are rejected to keep everything exact.
+"p" or "p/q" of ASCII digits, q > 0 (the whole string, so no whitespace);
+floats are rejected to keep everything exact.
+
+The argument parser is built once per process and shared by every ``main``
+call; ``SKEWCUBE_WORKERS`` is read on each call, before the arguments are
+parsed, and is the ``verify --workers`` default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,15 +48,19 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# The whole string, ASCII digits only: no trailing newline, no other digits.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def _parse_rational(value, line: int | None = None) -> Fraction:
+def _parse_rational(value, line: int | None = None) -> int | Fraction:
+    """An int as it is, or a string "p" or "p/q" as the Fraction p/q."""
     if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+        return value
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        p, q = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q or 1))
         except ValueError:  # more digits than int() converts
             pass
     raise ParseError(f"not an exact rational: {value!r}", line)
@@ -98,6 +108,7 @@ def read_planes(stream: TextIO) -> CoverFamily:
             raise ParseError('expected an object with keys "a" and "b"', lineno)
         if not isinstance(obj["a"], list) or not obj["a"]:
             raise ParseError('"a" must be a nonempty list', lineno)
+        # JSON ints stay ints, so an all-int plane takes Hyperplane's int-row path.
         a = tuple(_parse_rational(v, lineno) for v in obj["a"])
         b = _parse_rational(obj["b"], lineno)
         if n is None:
@@ -278,7 +289,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    parse_args keeps no state between calls."""
     parser = _Parser(prog="skewcube")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -290,10 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify a plane file as a cover")
     p.add_argument("planes", nargs="?", default="-", help="plane file, or - for stdin")
     p.add_argument("--n", type=int, default=None, help="expected dimension")
+    # None stands for SKEWCUBE_WORKERS, which main reads on every call.
     p.add_argument(
         "--workers",
         type=int,
-        default=_env_workers(),
+        default=None,
         help="parallel verification processes (default SKEWCUBE_WORKERS or 1)",
     )
     p.set_defaults(func=cmd_verify)
@@ -327,11 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        parser = _build_parser()
+        # Read on every call: a bad value is a usage error for any subcommand.
+        workers = _env_workers()
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else EXIT_USAGE
+        if args.command == "verify" and args.workers is None:
+            args.workers = workers
         return args.func(args)
     except SkewcubeError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -26,6 +26,10 @@ the hits into uint64 words: the search pool's rows directly, and through
 _plane_words the Hyperplanes that covered_set and greedy_cover evaluate.
 Its arrays are int64 when the scaled integer values fit comfortably and
 Python ints otherwise, so no input changes the exactness of the answer.
+
+Only verify_cover with workers > 1 on a grid of more than one chunk starts
+a process pool, and _process_pool imports the pool module then, so
+importing the package loads neither concurrent.futures nor multiprocessing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -457,6 +460,15 @@ def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
     return {CubePoint._from_mask(m, nn) for m in (words[w] * 64 + bit).tolist()}
 
 
+def _process_pool(max_workers: int):
+    """A ProcessPoolExecutor of max_workers processes. The pool module and
+    multiprocessing are imported here, when a pool starts, so importing the
+    package (and every grid of one chunk) never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def verify_cover(
     family: CoverFamily, *, workers: int = 1, chunk_bits: int = _CHUNK_BITS
 ) -> CoverReport:
@@ -501,7 +513,7 @@ def verify_cover(
     ranges = list(zip(cuts, cuts[1:]))
     jobs = [(a[:, reps], b, radix, lo, hi, chunk_bits) for lo, hi in ranges]
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with _process_pool(pool_size) as pool:
             parts = list(pool.map(_verify_range_job, jobs))
     else:
         parts = [_verify_range_job(job) for job in jobs]

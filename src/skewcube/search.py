@@ -201,9 +201,12 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
       so no cover within the budget exists below the child. It is tested on
       each child that passes counting, just before recursing into it.
 
-    The root of each family size k is tested by the same two rules. Both
-    rules remove only subtrees without a cover within the budget, so they
-    change node counts but never which cover is found first.
+    The root of each family size k is tested by the same two rules; the
+    sizes whose root fails counting (k * max_cov < 2^n) are counted in one
+    step, one node each, so a run in which every root fails ends at once
+    whatever its ``max_k``. Both rules remove only subtrees without a cover
+    within the budget, so they change node counts but never which cover is
+    found first.
 
     Symmetry rule, at every node that branches on the planes covering v.
     Coordinates 2..n fall into classes: j and j' share one when every chosen
@@ -372,13 +375,24 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
         nodes += len(cands) - len(kids)
         return False
 
-    for k in range(k_lo, config.max_k + 1):
+    # The root's counting bound, width <= k * max_cov, fails below k_pass and
+    # holds from it on, so the roots below k_pass are counted in one step,
+    # one node per size, with the one clock read the threshold asks for; a
+    # timeout there reports the count the threshold was reached at.
+    k_pass = -(-width // max_cov) if max_cov else config.max_k + 1
+    k_first = min(max(k_lo, k_pass), config.max_k + 1)
+    nodes = k_first - k_lo
+    if nodes >= next_check:
+        if time.monotonic() > deadline:
+            return SearchOutcome(SearchStatus.TIMEOUT, None, next_check, pool_size)
+        next_check = nodes + _CHECK_EVERY
+    for k in range(k_first, config.max_k + 1):
         nodes += 1
         if nodes >= next_check:
             if time.monotonic() > deadline:
                 return SearchOutcome(SearchStatus.TIMEOUT, None, nodes, pool_size)
             next_check = nodes + _CHECK_EVERY
-        if width <= k * max_cov and packs(full, k) and expand(full, k):
+        if packs(full, k) and expand(full, k):
             family = CoverFamily(tuple(Hyperplane._from_int_row(tuple(rows[i]), int(offsets[i])) for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcube import cli, errors
+from skewcube import cli, cube, errors
 
 
 def run(argv, stdin=None, capsys=None, monkeypatch=None):
@@ -102,6 +107,61 @@ def test_verify_rational_strings(capsys, monkeypatch):
     code, out, _ = run(["verify", "-"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)
     report = json.loads(out)
     assert report["per_plane_counts"] == [2, 2]
+
+
+_RATIONAL_CORPUS = {
+    # accepted: ASCII digits, an optional minus sign, an optional /q with q > 0
+    "0": True, "-0": True, "7": True, "-7": True, "007": True, "1/2": True,
+    "-3/4": True, "2/4": True, "10/5": True, "0/9": True, "9" * 4300: True,
+    "-" + "9" * 4300: True, "1/" + "9" * 4300: True,
+    # rejected: a trailing newline and non-ASCII digits (both accepted once),
+    # then signs, spaces, other number syntax and more digits than int() reads
+    "1\n": False, "-1/2\n": False, "\u0661": False, "1\u0661": False, "1/\u0661": False,
+    "\uff11": False, "\u00b2": False, "\u00bd": False, "1/0": False, "1/02": False,
+    "1/-2": False, "-1/-2": False, "+1": False, " 1": False, "1 ": False, "\n1": False,
+    "1 /2": False, "1/ 2": False, "1.5": False, "1e3": False, "1_000": False, "": False,
+    "-": False, "/2": False, "1/": False, "1//2": False, "0x10": False, "nan": False,
+    "Infinity": False, "9" * 4301: False, "1/" + "9" * 4301: False,
+}
+
+
+@pytest.mark.parametrize("text", list(_RATIONAL_CORPUS), ids=range(len(_RATIONAL_CORPUS)))
+def test_rational_grammar(text, capsys, monkeypatch):
+    if _RATIONAL_CORPUS[text]:
+        assert cli._parse_rational(text) == Fraction(text)
+        return
+    with pytest.raises(cli.ParseError):
+        cli._parse_rational(text)
+    plane = json.dumps({"a": [text, 1], "b": 0}) + "\n"
+    code, out, err = run(["verify", "-"], stdin=plane, capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: line 1: ")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.from_regex(r"-?[0-9]{1,40}(/[1-9][0-9]{0,40})?", fullmatch=True) | st.text(max_size=8))
+def test_accepted_rationals_equal_fraction_of_the_string(text):
+    try:
+        got = cli._parse_rational(text)
+    except cli.ParseError:
+        assert not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", text)
+    else:
+        assert type(got) is Fraction and got == Fraction(text)
+
+
+def test_newline_and_non_ascii_digit_rationals_exit_2(capsys, monkeypatch):
+    # The old grammar read this line as the plane x_1 + x_2 = 0.
+    plane = json.dumps({"a": ["1\n", "\u0661"], "b": 0}) + "\n"
+    code, out, err = run(["verify", "-"], stdin=plane, capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+
+
+def test_json_integers_stay_ints_in_plane_rows():
+    fam = cli.read_planes(io.StringIO('{"a": [2, -3], "b": 1}\n{"a": ["1/2", 1], "b": 0}\n'))
+    assert fam.planes[0]._row == ((2, -3), 1, 1)
+    assert fam.planes[1]._row == ((1, 2), 0, 2)
+    assert fam.planes[0] == cube.Hyperplane((Fraction(2), Fraction(-3)), Fraction(1))
 
 
 POLY_X2 = json.dumps({"n": 3, "k": 1, "coeffs": [{"S": [2], "c": [1]}]})
@@ -316,11 +376,91 @@ def test_verify_directory_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_workers_env_default(monkeypatch):
+def test_workers_env_default(capsys, monkeypatch):
+    seen, real_verify = [], cli.verify_cover
+
+    def recording_verify(family, *, workers):
+        seen.append(workers)
+        return real_verify(family)
+
+    monkeypatch.setattr(cli, "verify_cover", recording_verify)
+    planes = '{"a": [1, 1], "b": 0}\n'
     monkeypatch.setenv("SKEWCUBE_WORKERS", "3")
-    assert cli._build_parser().parse_args(["verify", "-"]).workers == 3
+    assert run(["verify", "-"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
+    assert run(["verify", "-", "--workers", "2"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
     monkeypatch.delenv("SKEWCUBE_WORKERS")
-    assert cli._build_parser().parse_args(["verify", "-"]).workers == 1
+    assert run(["verify", "-"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
+    assert seen == [3, 2, 1]
+
+
+def _in_process(argv, stdin, env_workers):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("SKEWCUBE_WORKERS", None)
+        if env_workers is not None:
+            os.environ["SKEWCUBE_WORKERS"] = env_workers
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv, stdin, env_workers):
+    env = {k: v for k, v in os.environ.items() if k != "SKEWCUBE_WORKERS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if env_workers is not None:
+        env["SKEWCUBE_WORKERS"] = env_workers
+    done = subprocess.run(
+        [sys.executable, "-m", "skewcube.cli", *argv], input=stdin, capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+_IMPORT_GUARD = """
+import os, sys
+import skewcube, skewcube.cli
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+
+print(pool_modules())
+from skewcube.cube import CoverFamily, Hyperplane, verify_cover
+fam = CoverFamily((Hyperplane((1, 2, 3, 4), 0), Hyperplane((1, 2, 3, 4), 2)))
+serial = verify_cover(fam, chunk_bits=2)
+# Four chunks and two workers start a pool, which loads the pool module.
+if (os.cpu_count() or 1) > 1:
+    assert verify_cover(fam, workers=2, chunk_bits=2) == serial
+    assert "concurrent.futures.process" in pool_modules()
+"""
+
+
+def test_import_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_repeated_main_calls_equal_fresh_processes():
+    # One process, one parser: mixed subcommands, an argparse error between
+    # two good calls and SKEWCUBE_WORKERS changed between calls give the
+    # same stdout, stderr and exit code as a new process for each call.
+    planes = "".join(json.dumps({"a": [1] * 3, "b": b}) + "\n" for b in (3, 1, -1, -3))
+    calls = [
+        (["construct", "levels", "3"], "", None),
+        (["verify", "-"], planes, "0"),
+        (["verify", "-", "--n", "3"], planes, "2"),
+        (["search", "--n", "3", "--bogus"], "", "2"),
+        (["kernel", "3", "1", "1", "2", "3"], "", "abc"),
+        (["kernel", "3", "1", "--", "1", "-2", "1/3"], "", None),
+        (["verify", "-"], planes[: planes.index("\n") + 1], None),
+        (["interp", "-", "--m", "2", "-S", "2"], POLY_X2, "1"),
+        (["search", "--n", "3", "-B", "2", "--max-k", "3"], "", None),
+    ]
+    got = [_in_process(*call) for call in calls]
+    want = [_fresh_process(*call) for call in calls]
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 2, 0, 2, 2, 0, 1, 0, 0]
 
 
 @pytest.mark.parametrize(

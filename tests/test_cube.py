@@ -407,7 +407,7 @@ def test_pool_size_clamped(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cube, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cube, "_process_pool", RecordingPool)
     monkeypatch.setattr(cube.os, "cpu_count", lambda: 3)
     # no two columns agree up to sign, so the class grid is all 16 masks
     fam = CoverFamily((Hyperplane((1, 2, 3, 4), 0), Hyperplane((1, 2, 3, 4), 2)))

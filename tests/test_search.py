@@ -600,6 +600,16 @@ def test_time_budget_zero_times_out_when_every_root_is_cut():
     assert out == SearchOutcome(SearchStatus.TIMEOUT, None, 256, 0)
 
 
+@pytest.mark.parametrize("budget", [None, LONG_BUDGET])
+def test_roots_cut_by_counting_are_counted_in_one_step(budget):
+    # The same empty pool: its 10^9 - 2 roots, one per family size, were
+    # once walked one by one (about 70 s); they are counted in one step.
+    start = time.monotonic()
+    out = min_cover_search(SearchConfig(3, 1, 0, 10**9, time_budget=budget))
+    assert out == SearchOutcome(SearchStatus.EXHAUSTED_NO_COVER, None, 10**9 - 2, 0)
+    assert time.monotonic() - start < 5
+
+
 def test_search_setup_keeps_one_copy_of_the_words(monkeypatch):
     # n = 11, B = 1, offset 1: 2,048 planes of 32 words each and 946,176
     # (plane, point) incidences. A word row copied per incidence would take
