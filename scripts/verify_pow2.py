@@ -15,7 +15,6 @@ code is 1 if any row is not covered or not exact.
 
 import argparse
 import math
-import os
 import time
 
 from skewcube import power_of_two_cover, verify_cover
@@ -36,7 +35,7 @@ def expected_counts(m: int) -> list[int]:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--m-max", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=int(os.environ.get("SKEWCUBE_WORKERS", "2")))
+    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     ok = True

@@ -15,8 +15,7 @@ strictly increasing index lists. Rationals are JSON integers or strings
 floats are rejected to keep everything exact.
 
 The argument parser is built once per process and shared by every ``main``
-call; ``SKEWCUBE_WORKERS`` is read on each call, before the arguments are
-parsed, and is the ``verify --workers`` default.
+call.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -273,14 +271,6 @@ def cmd_search(args) -> int:
     return EXIT_OK if outcome.status is SearchStatus.FOUND_COVER else EXIT_NEGATIVE
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("SKEWCUBE_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"SKEWCUBE_WORKERS must be an integer, got {raw!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises its usage errors as ``UsageError``
     instead of printing usage and exiting; its subparsers are _Parsers too."""
@@ -304,12 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify a plane file as a cover")
     p.add_argument("planes", nargs="?", default="-", help="plane file, or - for stdin")
     p.add_argument("--n", type=int, default=None, help="expected dimension")
-    # None stands for SKEWCUBE_WORKERS, which main reads on every call.
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel verification processes (default SKEWCUBE_WORKERS or 1)",
+        "--workers", type=int, default=1, help="parallel verification processes (default 1)"
     )
     p.set_defaults(func=cmd_verify)
 
@@ -342,14 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        # Read on every call: a bad value is a usage error for any subcommand.
-        workers = _env_workers()
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else EXIT_USAGE
-        if args.command == "verify" and args.workers is None:
-            args.workers = workers
         return args.func(args)
     except SkewcubeError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -27,9 +27,11 @@ _plane_words the Hyperplanes that covered_set and greedy_cover evaluate.
 Its arrays are int64 when the scaled integer values fit comfortably and
 Python ints otherwise, so no input changes the exactness of the answer.
 
-Only verify_cover with workers > 1 on a grid of more than one chunk starts
-a process pool, and _process_pool imports the pool module then, so
-importing the package loads neither concurrent.futures nor multiprocessing.
+Only verify_cover starts a process pool, and only when workers > 1, the
+grid has more than one chunk and the machine has more than one CPU
+(pool_size = min(workers, chunks, cpu count)). _process_pool imports the
+pool module then, so importing the package loads neither
+concurrent.futures nor multiprocessing.
 """
 
 from __future__ import annotations
@@ -156,15 +158,13 @@ class Hyperplane:
             raise UsageError("a hyperplane needs at least one coefficient")
 
     @classmethod
-    def _from_int_row(
-        cls, a: tuple[int, ...], b: int, fractions: tuple[Fraction, ...] | None = None
-    ) -> "Hyperplane":
+    def _from_int_row(cls, a: tuple[int, ...], b: int, fractions: tuple[Fraction, ...]) -> "Hyperplane":
         """The plane of the int row (a, b), built without checks: a is a
-        nonempty tuple of ints and b an int. ``fractions``, if given, is
+        nonempty tuple of ints, b an int and ``fractions`` is
         tuple(map(_fraction, a)), which planes with the same a may share. The
         plane equals Hyperplane(a, b) in ==, hash, repr and pickle."""
         plane = object.__new__(cls)
-        _set_int_row(plane, a, b, tuple(map(_fraction, a)) if fractions is None else fractions)
+        _set_int_row(plane, a, b, fractions)
         return plane
 
     @property
@@ -448,16 +448,14 @@ def _smallest_masks(uncovered, radix, class_of, flips: int, limit: int) -> list[
     return masks
 
 
-def covered_set(plane: Hyperplane, n: int | None = None) -> set[CubePoint]:
-    """All points of {-1,1}^n lying on the plane, by exhaustive enumeration."""
-    nn = plane.n if n is None else n
-    if nn != plane.n:
-        raise DimensionMismatch(f"plane has n={plane.n}, requested n={nn}")
-    row = _plane_words([plane], nn)[0]
+def covered_set(plane: Hyperplane) -> set[CubePoint]:
+    """All points of {-1,1}^n, n = plane.n, lying on the plane, by exhaustive enumeration."""
+    n = plane.n
+    row = _plane_words([plane], n)[0]
     # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
     words = np.flatnonzero(row)
     w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))
-    return {CubePoint._from_mask(m, nn) for m in (words[w] * 64 + bit).tolist()}
+    return {CubePoint._from_mask(m, n) for m in (words[w] * 64 + bit).tolist()}
 
 
 def _process_pool(max_workers: int):

@@ -393,7 +393,7 @@ def min_cover_search(config: SearchConfig) -> SearchOutcome:
                 return SearchOutcome(SearchStatus.TIMEOUT, None, nodes, pool_size)
             next_check = nodes + _CHECK_EVERY
         if packs(full, k) and expand(full, k):
-            family = CoverFamily(tuple(Hyperplane._from_int_row(tuple(rows[i]), int(offsets[i])) for i in chosen))
+            family = CoverFamily(tuple(Hyperplane(tuple(rows[i]), int(offsets[i])) for i in chosen))
             if not verify_cover(family).covered:
                 raise SkewcubeError("internal error: search returned an unverified cover")
             return SearchOutcome(SearchStatus.FOUND_COVER, family, nodes, pool_size)

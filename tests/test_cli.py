@@ -376,7 +376,7 @@ def test_verify_directory_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_workers_env_default(capsys, monkeypatch):
+def test_verify_workers_default(capsys, monkeypatch):
     seen, real_verify = [], cli.verify_cover
 
     def recording_verify(family, *, workers):
@@ -385,31 +385,21 @@ def test_workers_env_default(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_cover", recording_verify)
     planes = '{"a": [1, 1], "b": 0}\n'
-    monkeypatch.setenv("SKEWCUBE_WORKERS", "3")
     assert run(["verify", "-"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
     assert run(["verify", "-", "--workers", "2"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
-    monkeypatch.delenv("SKEWCUBE_WORKERS")
-    assert run(["verify", "-"], stdin=planes, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
-    assert seen == [3, 2, 1]
+    assert seen == [1, 2]
 
 
-def _in_process(argv, stdin, env_workers):
+def _in_process(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ):
-        os.environ.pop("SKEWCUBE_WORKERS", None)
-        if env_workers is not None:
-            os.environ["SKEWCUBE_WORKERS"] = env_workers
-        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-def _fresh_process(argv, stdin, env_workers):
-    env = {k: v for k, v in os.environ.items() if k != "SKEWCUBE_WORKERS"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    if env_workers is not None:
-        env["SKEWCUBE_WORKERS"] = env_workers
+def _fresh_process(argv, stdin):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "skewcube.cli", *argv], input=stdin, capture_output=True, text=True, env=env
     )
@@ -442,25 +432,25 @@ def test_import_loads_no_process_pool():
 
 
 def test_repeated_main_calls_equal_fresh_processes():
-    # One process, one parser: mixed subcommands, an argparse error between
-    # two good calls and SKEWCUBE_WORKERS changed between calls give the
-    # same stdout, stderr and exit code as a new process for each call.
+    # One process, one parser: mixed subcommands and an argparse error
+    # between two good calls give the same stdout, stderr and exit code as a
+    # new process for each call.
     planes = "".join(json.dumps({"a": [1] * 3, "b": b}) + "\n" for b in (3, 1, -1, -3))
     calls = [
-        (["construct", "levels", "3"], "", None),
-        (["verify", "-"], planes, "0"),
-        (["verify", "-", "--n", "3"], planes, "2"),
-        (["search", "--n", "3", "--bogus"], "", "2"),
-        (["kernel", "3", "1", "1", "2", "3"], "", "abc"),
-        (["kernel", "3", "1", "--", "1", "-2", "1/3"], "", None),
-        (["verify", "-"], planes[: planes.index("\n") + 1], None),
-        (["interp", "-", "--m", "2", "-S", "2"], POLY_X2, "1"),
-        (["search", "--n", "3", "-B", "2", "--max-k", "3"], "", None),
+        (["construct", "levels", "3"], ""),
+        (["verify", "-"], planes),
+        (["verify", "-", "--n", "3"], planes),
+        (["search", "--n", "3", "--bogus"], ""),
+        (["kernel", "3", "1", "1", "2", "3"], ""),
+        (["kernel", "3", "1", "--", "1", "-2", "1/3"], ""),
+        (["verify", "-"], planes[: planes.index("\n") + 1]),
+        (["interp", "-", "--m", "2", "-S", "2"], POLY_X2),
+        (["search", "--n", "3", "-B", "2", "--max-k", "3"], ""),
     ]
     got = [_in_process(*call) for call in calls]
     want = [_fresh_process(*call) for call in calls]
     assert got == want
-    assert [code for code, _, _ in got] == [0, 2, 0, 2, 2, 0, 1, 0, 0]
+    assert [code for code, _, _ in got] == [0, 0, 0, 2, 0, 0, 1, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -492,12 +482,13 @@ def test_kernel_coefficient_beyond_int64(capsys):
         ["search", "--n", "3"],
     ],
 )
-def test_non_integer_workers_env_is_usage_error(argv, capsys, monkeypatch):
-    monkeypatch.setenv("SKEWCUBE_WORKERS", "abc")
-    code, out, err = run(argv, stdin="", capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "SKEWCUBE_WORKERS" in err
+def test_workers_env_is_ignored(argv, capsys, monkeypatch):
+    # No environment variable steers the CLI: argv is its only input.
+    monkeypatch.delenv("SKEWCUBE_WORKERS", raising=False)
+    want = run(argv, stdin="", capsys=capsys, monkeypatch=monkeypatch)
+    for value in ("abc", "3"):
+        monkeypatch.setenv("SKEWCUBE_WORKERS", value)
+        assert run(argv, stdin="", capsys=capsys, monkeypatch=monkeypatch) == want
 
 
 @pytest.mark.parametrize(

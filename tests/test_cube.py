@@ -104,18 +104,18 @@ def test_is_skew():
 
 
 def test_covered_set_two_dim():
-    got = covered_set(Hyperplane((1, 1), 0), 2)
+    got = covered_set(Hyperplane((1, 1), 0))
     assert {p.bits for p in got} == {0b01, 0b10}
 
 
 def test_covered_set_single_minus():
-    got = covered_set(Hyperplane((1, 1, 1), -1), 3)
+    got = covered_set(Hyperplane((1, 1, 1), -1))
     assert {p.bits for p in got} == {0b001, 0b010, 0b100}
     assert all(p.weight == 1 for p in got)
 
 
 def test_covered_set_powers_of_two_empty():
-    assert covered_set(Hyperplane((1, 2, 4), 0), 3) == set()
+    assert covered_set(Hyperplane((1, 2, 4), 0)) == set()
 
 
 def test_covered_set_unpacks_only_nonzero_words():
@@ -131,11 +131,6 @@ def test_covered_set_unpacks_only_nonzero_words():
         tracemalloc.stop()
     assert got == set()
     assert peak < 4 << 20
-
-
-def test_covered_set_rejects_mismatched_n():
-    with pytest.raises(DimensionMismatch):
-        covered_set(Hyperplane((1, 1), 0), 3)
 
 
 def test_dimension_cap():
