@@ -1,4 +1,7 @@
 import math
+import pickle
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -285,3 +288,134 @@ def test_value_at_returns_fractions_equal_to_inverse_wht(n, k):
         values = [poly.value_at(x) for x in range(1 << n)]
         assert values == list(inverse_wht(poly).values)
         assert all(type(v) is Fraction for row in values for v in row)
+
+
+def _direct_values(poly, bits):
+    """The reference sum_S c_S * (-1)^|S & x|, in Fractions, term by term."""
+    total = [Fraction(0)] * poly.k
+    for mask, vec in poly.coeffs.items():
+        sign = -1 if (mask & bits).bit_count() & 1 else 1
+        total = [t + sign * c for t, c in zip(total, vec)]
+    return tuple(total)
+
+
+def test_value_at_several_groups_with_a_partial_last_group():
+    # 70 terms: eight groups of 8 terms and one of 6, in _terms order.
+    rng = random.Random(24)
+    coeffs = {mask: (Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-40, 40)) for mask in rng.sample(range(1 << 8), 70)}
+    poly = MultilinearPoly(8, 2, coeffs)
+    assert len(poly._terms) == 70
+    assert [poly.value_at(x) for x in range(1 << 8)] == list(inverse_wht(poly).values)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_value_at_terms_touching_three_bytes(n):
+    rng = random.Random(n)
+    # Each term has a coordinate in bytes 0, 1 and 2 of the mask.
+    coeffs = {
+        mask_of([rng.randint(1, 8), rng.randint(9, 16), rng.randint(17, n)]): (rng.randint(-5, 5) or 1,) for _ in range(30)
+    }
+    coeffs[0] = (Fraction(-7, 2),)
+    poly = MultilinearPoly(n, 1, coeffs)
+    masks = [rng.getrandbits(n) for _ in range(300)] + [0, (1 << n) - 1]
+    assert [poly.value_at(x) for x in masks] == [_direct_values(poly, x) for x in masks]
+
+
+@pytest.mark.parametrize("n", [6, 11])
+def test_value_at_wide_fields_rationals_and_negative_totals(n):
+    # Entries of 2^100 need fields wider than a byte; the thirds and sevenths
+    # make D = 21; every total is negative.
+    big = 2**100
+    coeffs = {
+        0: (-big, Fraction(-5, 3), -3),
+        0b1: (big, Fraction(2, 7), -1),
+        0b110: (-big + 1, Fraction(-1, 3), Fraction(-9, 7)),
+        (1 << n) - 1: (-17, -2, Fraction(4, 21)),
+        0b101: (3, Fraction(1, 3), 0),
+    }
+    poly = MultilinearPoly(n, 3, coeffs)
+    assert poly._den == 21
+    assert all(sum(col) < 0 for col in zip(*(row for _, row in poly._terms)))
+    values = [poly.value_at(x) for x in range(1 << n)]
+    assert values == list(inverse_wht(poly).values)
+    assert all(type(v) is Fraction for row in values for v in row)
+
+
+@pytest.mark.parametrize("c", [63, -63, 64, -64, 2**14 - 1, -(2**14), 2**30 - 1, -(2**30), 2**62 - 1, 2**62, -(2**64)])
+def test_value_at_field_width_boundaries(c):
+    # A field is the least of 1, 2, 4, 8, 16, ... bytes W with 2^(8W - 1)
+    # above twice the sum of each term's largest |numerator|: 2 * 63 and
+    # 6 * 21 fit one byte, 2 * 64 and 6 * 22 do not; 2^14 - 1, 2^30 - 1 and
+    # 2^62 - 1 are the largest single entries of 2, 4 and 8 bytes, and 2^62
+    # and 2^64 need 16.
+    one = MultilinearPoly(3, 2, {0b101: (c, -c)})
+    a = c // 3
+    three = MultilinearPoly(3, 2, {0: (a, -a), 0b11: (a, a), 0b110: (-a, a)})
+    for poly in (one, three):
+        assert [poly.value_at(x) for x in range(8)] == list(inverse_wht(poly).values)
+
+
+def test_value_at_scattered_terms_at_large_n():
+    rng = random.Random(5)
+    n = 10**5
+    labels = {}
+    while len(labels) < 2000:
+        subset = rng.sample(range(1, n + 1), 3)
+        labels[mask_of(subset)] = subset
+    poly = MultilinearPoly(n, 1, {mask: (rng.choice([-3, -2, -1, 1, 2, 3]),) for mask in labels})
+    for seed in range(3):
+        bits = random.Random(seed).getrandbits(n)
+        assert poly.value_at(bits) == _direct_values(poly, bits)
+    # One parity table per distinct column: the bytes at one index of a
+    # group's masks. A column with one coordinate is one of 8 bits at one
+    # of 8 places, so those columns share at most 64 tables.
+    masks = [mask for mask, _ in poly._terms]
+    columns = set()
+    for g in range(0, len(masks), 8):
+        group = masks[g : g + 8]
+        for j in {(c - 1) >> 3 for mask in group for c in labels[mask]}:
+            columns.add(bytes((mask >> 8 * j) & 255 for mask in group))
+    groups = poly._tables[2]
+    assert len({id(table) for parts, _ in groups for _, table in parts}) == len(columns)
+    assert sum(1 for column in columns if sum(x.bit_count() for x in column) == 1) <= 64
+
+
+def test_value_at_heavy_masks():
+    # Masks with hundreds of nonzero bytes, up to the full mask at n = 3000.
+    n = 3000
+    rng = random.Random(9)
+    coeffs = {(1 << n) - 1: (3,), mask_of(range(1, n + 1, 7)): (-2,), mask_of(range(5, n, 250)): (Fraction(1, 3),)}
+    poly = MultilinearPoly(n, 1, coeffs)
+    for bits in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]:
+        assert poly.value_at(bits) == _direct_values(poly, bits)
+
+
+def test_value_at_empty_poly():
+    poly = MultilinearPoly(4, 3, {})
+    assert [poly.value_at(x) for x in range(16)] == [(Fraction(0),) * 3] * 16
+    assert all(type(v) is Fraction for v in poly.value_at(9))
+
+
+def test_empty_poly_allocates_nothing_k_long():
+    tracemalloc.start()
+    try:
+        poly = MultilinearPoly(5, 10**8, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert poly.coeffs == {} and poly._terms == ()
+
+
+def test_evaluation_changes_neither_equality_repr_nor_pickle():
+    poly = random_poly(10, 3, 2, seed=4)
+    twin = random_poly(10, 3, 2, seed=4)
+    before = repr(poly), pickle.dumps(poly)
+    assert "_tables" not in vars(poly)
+    values = [poly.value_at(x) for x in range(1 << 10)]
+    assert "_tables" in vars(poly)
+    assert poly == twin and repr(poly) == before[0]
+    assert pickle.dumps(poly) == before[1]
+    again = pickle.loads(pickle.dumps(poly))
+    assert again == poly and "_tables" not in vars(again)
+    assert [again.value_at(x) for x in range(1 << 10)] == values
