@@ -35,7 +35,6 @@ def expected_counts(m: int) -> list[int]:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--m-max", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     ok = True
@@ -43,7 +42,7 @@ def main():
     for m in range(1, args.m_max + 1):
         family = power_of_two_cover(m)
         start = time.perf_counter()
-        report = verify_cover(family, workers=args.workers)
+        report = verify_cover(family)
         seconds = time.perf_counter() - start
         exact = list(report.per_plane_counts) == expected_counts(m)
         ok = ok and report.covered and exact

@@ -59,7 +59,6 @@ from .errors import (
     SkewcubeError,
 )
 from .fourier import ValueTable
-from .linalg import exact_nullity
 from .subsets import mask_of
 
 # Largest recovery check_recovery_size admits: atoms * (n + k) cells.
@@ -289,34 +288,21 @@ def recover_coefficient(
     return tuple(Fraction(sum(map(operator.mul, scheme._nums, nums[j::k])), den) for j in range(k))
 
 
-def _krawtchouk_column(n: int, u: int, count: int) -> list[int]:
-    """K_0(u; n) .. K_{count-1}(u; n), where K_t(u; n) is the sum of
-    (-1)^|x & U| over the masks x of weight t, for any U of weight u.
-
-    By the three-term recurrence (t+1) K_{t+1} = (n - 2u) K_t - (n - t + 1)
-    K_{t-1}, from K_0 = 1 and K_1 = n - 2u; the division is exact.
-    """
-    column = [1, n - 2 * u][:count]
-    for t in range(1, count - 1):
-        column.append(((n - 2 * u) * column[t] - (n - t + 1) * column[t - 1]) // (t + 1))
-    return column
-
-
 def vanishing_dimension(n: int, m: int, d: int) -> int:
     """Dimension of the degree <= d multilinear maps vanishing on all of W(m).
 
     This is the nullity over Q of the evaluation map E, which sends a map of
-    degree <= d to its values on the points of W(m). Symmetry reduces it to
-    a few small integer matrices, and no matrix indexed by subsets or points
-    is ever built:
+    degree <= d to its values on the points of W(m). Symmetry and the rank
+    lemma below reduce it to counting, and no matrix is ever built:
 
         vanishing_dimension = sum over k = 0 .. min(d, n // 2) of
-            (C(n, k) - C(n, k - 1)) * (rows_k - rank C_k),
+            (C(n, k) - C(n, k - 1)) * max(0, rows_k - cols_k),
 
-    where C_k has rows j = k .. min(d, n - k), columns w in {0, m, 2m, ...}
-    with k <= w <= n - k, and entry K_{j-k}(w - k; n - 2k), the Krawtchouk
-    value, which ``_krawtchouk_column`` gives for a whole column of C_k at
-    once. ``exact_nullity`` gives each rank exactly.
+    where rows_k = min(d, n - k) - k + 1 counts the degrees j = k ..
+    min(d, n - k), and cols_k counts the levels w in {0, m, 2m, ...} with
+    k <= w <= n - k. Let C_k be the rows_k x cols_k matrix with entry
+    K_{j-k}(w - k; n - 2k), the Krawtchouk value: the sum of (-1)^|x & U|
+    over the masks x of weight j - k, for any U of weight w - k.
 
     Proof. Let M^j be the permutation module of S_n on the j-subsets of
     {1..n}. The monomials of degree j span a copy of M^j, and the functions
@@ -353,8 +339,19 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
     each pair factor is 2, and e_{j-k} of n - 2k signs with w - k minus signs
     is the Krawtchouk value. So C = 2^k * C_k, of the same rank.
 
-    Cost: sum over k of rows_k * cols_k Krawtchouk values, and one
-    fraction-free elimination per block of at most d + 1 rows.
+    Rank lemma: rank C_k = min(rows_k, cols_k), so rows_k - rank C_k =
+    max(0, rows_k - cols_k). K_t(u; N) is a polynomial in u of degree
+    exactly t with leading coefficient (-2)^t / t! (MacWilliams and Sloane,
+    The Theory of Error-Correcting Codes, ch. 5 §7), and every row of C_k
+    has t = j - k <= n - 2k = N. Hence C_k = L V, where L is the
+    rows_k x rows_k lower-triangular matrix of those polynomials'
+    coefficients, invertible as its diagonal entries (-2)^t / t! are
+    nonzero, and V is the Vandermonde matrix of u^0 .. u^(rows_k - 1) at the
+    cols_k distinct nodes u = w - k. A Vandermonde matrix on distinct nodes
+    has rank min(rows, cols), and so has L V.
+
+    Cost: one pass over k with a few integer operations each, plus two
+    binomials for each k with rows_k > cols_k.
     """
     if m < 2 or m % 2:
         raise BadModulus(f"modulus must be even and >= 2, got {m}")
@@ -362,10 +359,8 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
         raise DegreeOutOfRange(f"need 0 <= d <= n, got d={d}")
     total = 0
     for k in range(min(d, n // 2) + 1):
-        degrees = range(k, min(d, n - k) + 1)
-        levels = range(k + (-k) % m, n - k + 1, m)
-        # C_k transposed: exact_nullity returns rows_k - rank C_k.
-        block = [_krawtchouk_column(n - 2 * k, w - k, len(degrees)) for w in levels]
-        copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        total += copies * exact_nullity(block, len(degrees))
+        rows = min(d, n - k) - k + 1
+        cols = (n - k) // m - (k - 1) // m
+        if rows > cols:
+            total += (rows - cols) * (math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
     return total

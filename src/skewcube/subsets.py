@@ -20,14 +20,17 @@ def mask_of(labels: Iterable[int]) -> int:
 
 
 def labels_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based labels encoded by a bitmask."""
+    """Sorted 1-based labels encoded by a bitmask.
+
+    One pass over the binary string, lowest bit first, so the work is linear
+    in the mask's length.
+    """
+    bits = bin(mask)[:1:-1]
     out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
+    j = bits.find("1")
+    while j >= 0:
+        out.append(j + 1)
+        j = bits.find("1", j + 1)
     return tuple(out)
 
 

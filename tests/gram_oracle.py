@@ -1,10 +1,13 @@
-"""The Gram-matrix vanishing dimension, kept as a test oracle.
+"""The Gram-matrix vanishing dimension and the exact and mod-p ranks it
+rests on, kept as test oracles.
 
 ``vanishing_dimension`` counts by S_n isotypic parts. This module counts
 the same nullity the direct way: the rank of the evaluation matrix E equals
 the rank of whichever of E^T E and E E^T is smaller, built from Krawtchouk
 sums, and a mod-p elimination certifies it or hands it to ``exact_nullity``.
 Its cost grows with C(n, <= d) and |W(m)|, so it serves small n only.
+``exact_nullity`` is also the brute-force rank that the interpolation and
+kernel tests compare the closed forms against.
 """
 
 import math
@@ -12,10 +15,55 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from skewcube.linalg import exact_nullity
+from skewcube.cube import _numerators, exact
+from skewcube.errors import UsageError
 from skewcube.subsets import mask_of, subsets_colex
 
 PRIME = (1 << 31) - 1
+
+
+def exact_nullity(rows: Iterable[Sequence], ncols: int) -> int:
+    """Nullity over Q by fraction-free elimination (cross-multiply, gcd-reduce).
+
+    Entries are ints or anything ``cube.exact`` takes, never floats. Each
+    row becomes its ``cube._numerators`` over its own denominator, which
+    changes neither rank nor nullity.
+    """
+    work: list[list[int]] = []
+    for row in rows:
+        _, (ints,) = _numerators(([v if type(v) is int else exact(v) for v in row],))
+        if len(ints) != ncols:
+            raise UsageError("row length does not match ncols")
+        if any(ints):
+            work.append(list(ints))
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        pval = prow[col]
+        keep = work[: rank + 1]
+        for i in range(rank + 1, len(work)):
+            ri = work[i]
+            v = ri[col]
+            if v:
+                for c in range(col, ncols):
+                    ri[c] = ri[c] * pval - prow[c] * v
+                g = 0
+                for x in ri:
+                    g = math.gcd(g, x)
+                if g > 1:
+                    for c in range(col, ncols):
+                        ri[c] //= g
+            if any(ri):
+                keep.append(ri)
+        work = keep
+        rank += 1
+        if rank == ncols:
+            break
+    return ncols - rank
 
 
 def krawtchouk(n: int, k: int, u: int) -> int:

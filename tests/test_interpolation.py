@@ -21,7 +21,6 @@ from skewcube.fourier import inverse_wht, random_poly, w_set, wht
 from skewcube.interpolation import (
     ChunkLayout,
     InterpolationScheme,
-    _krawtchouk_column,
     build_scheme,
     check_recovery_size,
     chunk_layout,
@@ -312,7 +311,7 @@ def test_vanishing_dimension_bad_modulus():
 
 
 def test_vanishing_dimension_matches_bruteforce_nullity():
-    from skewcube.linalg import exact_nullity
+    from gram_oracle import exact_nullity
 
     for n, m, d in [(4, 2, 2), (5, 4, 1), (4, 4, 2), (3, 2, 2)]:
         cols = []
@@ -341,7 +340,7 @@ def test_recover_property_random(d, half_m, data):
 def test_vanishing_dimension_matches_evaluation_matrix_grid():
     # brute force on E itself, over tall, square and wide shapes, including
     # rank-deficient ones
-    from skewcube.linalg import exact_nullity
+    from gram_oracle import exact_nullity
 
     shapes = set()
     deficient = 0
@@ -379,13 +378,29 @@ def test_vanishing_dimension_full_degree_closed_form(n, m):
     assert vanishing_dimension(n, m, n) == outside
 
 
-def test_krawtchouk_column_matches_the_binomial_sum():
-    from gram_oracle import krawtchouk
+def test_krawtchouk_rank_lemma():
+    # K_t(u; N) has degree exactly t in u, so the first r Krawtchouk
+    # polynomials at distinct nodes have rank min(r, nodes): the count
+    # vanishing_dimension takes for each block's rank
+    from gram_oracle import exact_nullity, krawtchouk
 
-    for n in range(31):
-        for u in range(n + 1):
-            assert _krawtchouk_column(n, u, n + 1) == [krawtchouk(n, t, u) for t in range(n + 1)], (n, u)
-            assert _krawtchouk_column(n, u, 1) == [1]
+    for N in range(31):
+        table = [[krawtchouk(N, t, u) for t in range(N + 1)] for u in range(N + 1)]
+        for s in range(1, 7):
+            for a in range(N + 1):
+                nodes = range(a, N + 1, s)
+                for r in range(1, N + 2):
+                    got = exact_nullity([table[u][:r] for u in nodes], r)
+                    assert got == max(0, r - len(nodes)), (N, s, a, r)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+def test_vanishing_dimension_edge_is_n_equals_d_m_plus_1(m):
+    # n = d*m + 1 is the first n at which no nonzero map of degree <= d
+    # vanishes on W(m)
+    for d in range(1, 8):
+        assert vanishing_dimension(d * m + 1, m, d) == 0, (m, d)
+        assert vanishing_dimension(d * m, m, d) > 0, (m, d)
 
 
 def test_vanishing_dimension_matches_gram_oracle():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gram_oracle import exact_nullity
 from skewcube.errors import DimensionTooLarge, ZeroCoefficient
 from skewcube.kernel import (
     base_case_det,
@@ -13,7 +14,6 @@ from skewcube.kernel import (
     kernel_dim,
     product_vector,
 )
-from skewcube.linalg import exact_nullity
 from skewcube.subsets import subsets_colex
 
 nonzero = st.integers(-9, 9).filter(lambda v: v != 0)

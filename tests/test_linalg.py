@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gram_oracle import block_rows, modp_rank
-from skewcube.linalg import exact_nullity
+from gram_oracle import block_rows, exact_nullity, modp_rank
 
 
 def brute_rank(rows, ncols):
