@@ -3,7 +3,9 @@
 A point is an n-bit mask (bit j-1 set means coordinate x_j = -1), so the
 popcount of the mask counts the -1 coordinates. A hyperplane carries exact
 rational coefficients and an offset; "covers" means the affine form vanishes
-as a rational number, never approximately.
+as a rational number, never approximately. Both are frozen dataclasses with
+slots, so neither holds a __dict__, and every point, the bulk ones
+included, is built by the range-checked CubePoint constructor.
 
 Cover verification is exact but does not visit all 2^n points. Coordinates
 whose columns agree across the family up to one common sign form a class,
@@ -40,13 +42,14 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionTooLarge, EmptyFamily, UsageError
+from .subsets import labels_of
 
 MAX_EXHAUSTIVE_N = 24
 MAX_CLASS_POINTS = 1 << MAX_EXHAUSTIVE_N
@@ -86,9 +89,10 @@ def _fraction(v: int) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubePoint:
-    """A vertex of {-1,1}^n encoded as a bitmask: bit j-1 set means x_j = -1."""
+    """A vertex of {-1,1}^n encoded as a bitmask: bit j-1 set means x_j = -1.
+    Its fields are slots, and every point passes the range check below."""
 
     bits: int
     n: int
@@ -100,49 +104,40 @@ class CubePoint:
         if self.bits < 0 or self.bits >> self.n:
             raise UsageError(f"mask 0x{self.bits:x} out of range for n={self.n}")
 
-    @classmethod
-    def _from_mask(cls, bits: int, n: int) -> "CubePoint":
-        """The point of an int mask that is in range by construction,
-        0 <= bits < 2^n with n >= 1, built without checks. It equals
-        CubePoint(bits, n) in ==, hash, repr and pickle."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "bits", bits)
-        object.__setattr__(point, "n", n)
-        return point
-
     @property
     def weight(self) -> int:
         """Number of coordinates equal to -1."""
         return self.bits.bit_count()
 
     def coords(self) -> tuple[int, ...]:
-        return tuple(-1 if (self.bits >> j) & 1 else 1 for j in range(self.n))
+        # The binary string lowest bit first, read once: linear in n.
+        return tuple(-1 if c == "1" else 1 for c in bin(self.bits)[:1:-1].ljust(self.n, "0"))
 
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> "CubePoint":
-        bits = 0
-        for j, c in enumerate(coords):
-            if c == -1:
-                bits |= 1 << j
-            elif c != 1:
-                raise UsageError("coordinates must be +1 or -1")
-        return cls(bits, len(coords))
+        if any(c != 1 and c != -1 for c in coords):
+            raise UsageError("coordinates must be +1 or -1")
+        # One base-2 parse of the digits, highest bit first: linear in n.
+        digits = "".join("1" if c == -1 else "0" for c in coords)
+        return cls(int(digits[::-1] or "0", 2), len(digits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperplane:
     """The affine plane a.x + b = 0 with exact rational coefficients.
 
     Construction also stores the integer row ``_row`` = (a_int, b_int, den),
     which the evaluators read: the plane's ``_numerators`` over their common
     denominator ``den``, or the input itself with den = 1 when every input
-    is an int. It is not a field, so equality, hashing and ``repr`` read
-    ``a`` and ``b`` alone. An all-int input and the private ``_from_int_row``,
-    which skips the checks, set the fields in one place, ``_set_int_row``.
+    is an int. ``_row`` is a slot field outside ``__init__``, ``==``, hashing
+    and ``repr``, which read ``a`` and ``b`` alone; pickle and ``copy`` keep
+    it. An all-int input and the private ``_from_int_row``, which skips the
+    checks, set the fields in one place, ``_set_int_row``.
     """
 
     a: tuple[Fraction, ...]
     b: Fraction = Fraction(0)
+    _row: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = tuple(self.a), self.b
@@ -174,8 +169,7 @@ class Hyperplane:
 
 def _set_int_row(plane: Hyperplane, a, b, fractions) -> None:
     """Set the fields of the plane of the int row (a, b), whose integer row
-    is itself with den = 1: the one place an int row becomes a plane. The
-    order is the dataclass __init__'s, so pickles match."""
+    is itself with den = 1: the one place an int row becomes a plane."""
     object.__setattr__(plane, "a", fractions)
     object.__setattr__(plane, "b", _fraction(b))
     object.__setattr__(plane, "_row", (a, b, 1))
@@ -223,7 +217,7 @@ def evaluate(plane: Hyperplane, point: CubePoint) -> Fraction:
     if plane.n != point.n:
         raise DimensionMismatch(f"plane has n={plane.n}, point has n={point.n}")
     a_int, b_int, den = plane._row
-    neg = sum(c for j, c in enumerate(a_int) if (point.bits >> j) & 1)
+    neg = sum(a_int[j - 1] for j in labels_of(point.bits))
     return Fraction(b_int + sum(a_int) - 2 * neg, den)
 
 
@@ -367,6 +361,15 @@ def _coordinate_classes(a) -> tuple[list[int], list[int], int]:
     return reps, class_of, flips
 
 
+def _binomial_row(s: int) -> list[int]:
+    """C(s, t) for t = 0..s by C(s, t + 1) = C(s, t) (s - t) / (t + 1), where
+    a math.comb per entry would cost time cubic in s."""
+    row = [1]
+    for t in range(s):
+        row.append(row[-1] * (s - t) // (t + 1))
+    return row
+
+
 def _verify_range_job(args):
     """Weighted zero counts, uncovered weight and packed uncovered class
     points of the chunks in [lo, hi) of the class grid."""
@@ -374,16 +377,13 @@ def _verify_range_job(args):
     low, width = _layout(radix, chunk_bits)
     # Weights sum to 2^n over the grid, so int64 holds every sum up to n = 62.
     dtype = np.int64 if (radix - 1).sum() <= 62 else object
-    w_low = np.ones(1, dtype=dtype)
-    for r in radix[:low].tolist():
-        w_low = np.outer(np.array([math.comb(r - 1, t) for t in range(r)], dtype=dtype), w_low).ravel()
-    w_high, high = [], radix[low:].tolist()
-    for q in range(lo // width, hi // width):
-        w = 1
-        for r in high:
-            q, d = divmod(q, r)
-            w *= math.comb(r - 1, d)
-        w_high.append(w)
+    rows = {r: np.array(_binomial_row(r - 1), dtype=dtype) for r in set(radix.tolist())}
+
+    def grid(radices):  # the weights of these digits' grid, digit 0 fastest
+        return functools.reduce(lambda w, r: np.outer(rows[r], w).ravel(), radices, np.ones(1, dtype=dtype))
+
+    w_low = grid(radix[:low].tolist())
+    w_high = grid(radix[low:].tolist())[lo // width : hi // width].tolist()
     # When every low class is a singleton, every low weight is 1 and
     # counting stands in for summing weights: about a quarter less time
     # with no repeated column at n = 22 and 24 (see CHANGES.md).
@@ -399,7 +399,8 @@ def _verify_range_job(args):
             running = np.zeros(flat.size + 1, dtype=dtype)
             np.cumsum(w_low[offsets], out=running[1:])
             ends = running[ends]
-        counts[block] += np.diff(ends) * w_high[k]
+        # In dtype: an int64 count times a weight past 2^63 would wrap.
+        counts[block] += np.diff(ends).astype(dtype) * w_high[k]
     uncovered = ~covered
     weight = 0
     for k, w in enumerate(w_high):
@@ -455,7 +456,7 @@ def covered_set(plane: Hyperplane) -> set[CubePoint]:
     # Only the nonzero words are unpacked, so an empty set costs no 2^n bytes.
     words = np.flatnonzero(row)
     w, bit = np.nonzero(np.unpackbits(row[words].view(np.uint8), bitorder="little").reshape(-1, 64))
-    return {CubePoint._from_mask(m, n) for m in (words[w] * 64 + bit).tolist()}
+    return {CubePoint(m, n) for m in (words[w] * 64 + bit).tolist()}
 
 
 def _process_pool(max_workers: int):

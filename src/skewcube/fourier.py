@@ -276,7 +276,7 @@ def w_set(n: int, m: int) -> list[CubePoint]:
     masks = np.arange(1 << n, dtype=np.int64)
     # Weights are <= n, so an m past n divides weight 0 alone, as uint8-safe n + 1 does.
     masks = masks[np.bitwise_count(masks) % min(m, n + 1) == 0]
-    return [CubePoint._from_mask(x, n) for x in masks.tolist()]
+    return [CubePoint(x, n) for x in masks.tolist()]
 
 
 def random_poly(n: int, d: int, k: int, seed) -> MultilinearPoly:

@@ -98,9 +98,8 @@ class InterpolationScheme:
     distinct weight object, since ``build_scheme`` shares one Fraction among
     the atoms of equal weight. Construction stores the common weight
     denominator ``_den``, the points ``_points`` and their signed integer
-    numerators ``_nums``, which ``recover_coefficient`` sums; ``_terms`` pairs
-    them up. None of these are fields, so equality and ``repr`` read ``atoms``
-    alone.
+    numerators ``_nums``, which ``recover_coefficient`` sums. None of these
+    are fields, so equality and ``repr`` read ``atoms`` alone.
     """
 
     n: int
@@ -132,11 +131,6 @@ class InterpolationScheme:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_nums", tuple(map(operator.mul, nums, signs)))
-
-    @property
-    def _terms(self) -> tuple[tuple[CubePoint, int], ...]:
-        """The (point, signed integer numerator) pairs, in atom order."""
-        return tuple(zip(self._points, self._nums))
 
 
 def _checked_subset(n: int, m: int, d: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -212,7 +206,7 @@ def build_scheme(n: int, m: int, d: int, subset: Iterable[int]) -> Interpolation
         atoms += ((base ^ f, weights[j], s) for f, s in flips)
     atoms.sort(key=operator.itemgetter(0))
     return InterpolationScheme(
-        n, m, d, layout.subset, tuple((CubePoint._from_mask(bits, n), w, s) for bits, w, s in atoms)
+        n, m, d, layout.subset, tuple((CubePoint(bits, n), w, s) for bits, w, s in atoms)
     )
 
 

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +24,9 @@ from skewcube.cube import (
 )
 from skewcube.constructions import level_set_cover, power_of_two_cover
 from skewcube.errors import DimensionMismatch, DimensionTooLarge, EmptyFamily
+from skewcube.fourier import w_set
+from skewcube.interpolation import build_scheme
+from skewcube.search import candidate_pool
 
 nonzero_coeff = st.integers(-5, 5).filter(lambda v: v != 0)
 
@@ -485,11 +491,122 @@ def test_cube_point_range_without_building_two_to_the_n():
 
 
 @pytest.mark.parametrize("bits, n", [(0, 1), (1, 1), (0b1011, 4), ((1 << 24) - 1, 24), (1 << 99, 100)])
-def test_unchecked_point_equals_the_checked_one(bits, n):
-    point, checked = CubePoint._from_mask(bits, n), CubePoint(bits, n)
-    assert point == checked and hash(point) == hash(checked) and repr(point) == repr(checked)
-    assert pickle.dumps(point) == pickle.dumps(checked)
-    assert point.weight == checked.weight and point.coords() == checked.coords()
+def test_built_points_equal_the_checked_one(bits, n):
+    checked = CubePoint(bits, n)
+    w = bits.bit_count()
+    built = [build_scheme(n, 2, 0, ()).atoms[0][0]]
+    if n <= 24:
+        # the level plane through the point's weight
+        level = covered_set(Hyperplane((1,) * n, 2 * w - n))
+        assert checked in level
+        built += level
+    if n <= 16:
+        built += w_set(n, max(w, 2))
+    if n >= 5:
+        built += [pt for pt, _, _ in build_scheme(n, 2, 2, (2, n)).atoms]
+    for point in built:
+        twin = CubePoint(point.bits, n)
+        assert type(point) is CubePoint and point.n == n and 0 <= point.bits < 1 << n
+        assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin)
+        assert pickle.dumps(point) == pickle.dumps(twin)
+    assert checked.weight == w and checked.coords() == tuple(-1 if bits >> j & 1 else 1 for j in range(n))
+
+
+def _sample_planes():
+    return [
+        Hyperplane((1, -2, 3), 4),
+        Hyperplane((Fraction(1, 3), 2), "5/6"),
+        Hyperplane._from_int_row((1, 1), 0, (Fraction(1), Fraction(1))),
+        *candidate_pool(3, 1, 1)[:2],
+    ]
+
+
+def test_points_and_planes_hold_no_instance_dict():
+    points = [CubePoint(5, 4), CubePoint.from_coords([1, -1]), *w_set(4, 2)]
+    points += covered_set(Hyperplane((1, 1, 1, 1), 0))
+    points += [pt for pt, _, _ in build_scheme(5, 2, 2, (1, 2)).atoms]
+    for obj in points + _sample_planes():
+        assert not hasattr(obj, "__dict__"), obj
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+
+
+def test_points_and_planes_round_trip_pickle_copy_and_replace():
+    for obj in [CubePoint(0, 1), CubePoint(1 << 99, 100), *_sample_planes()]:
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), dataclasses.replace(obj)):
+            assert type(clone) is type(obj)
+            assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
+            if isinstance(obj, Hyperplane):
+                assert clone._row == obj._row
+    plane = Hyperplane((Fraction(1, 2), 3), 1)
+    moved = dataclasses.replace(plane, b=Fraction(1, 3))
+    assert moved == Hyperplane(plane.a, Fraction(1, 3)) and moved._row == ((3, 18), 2, 6)
+    with pytest.raises(ValueError):
+        dataclasses.replace(plane, _row=None)
+
+
+def _coords_reference(point):
+    return tuple(-1 if (point.bits >> j) & 1 else 1 for j in range(point.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.randoms(use_true_random=False))
+def test_point_methods_match_the_per_coordinate_definition(n, rng):
+    point = CubePoint(rng.getrandbits(n), n)
+    x = _coords_reference(point)
+    assert point.coords() == x
+    assert CubePoint.from_coords(x) == point and CubePoint.from_coords(list(x)) == point
+    a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+    plane = Hyperplane(a, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    assert evaluate(plane, point) == sum(c * xi for c, xi in zip(plane.a, x)) + plane.b
+
+
+def test_point_methods_are_linear_in_n():
+    n = 10**6
+    # bit j is set for odd j, so coordinates 2, 4, ..., n are -1
+    point = CubePoint(int("10" * (n // 2), 2), n)
+    plane = Hyperplane((1, 2) * (n // 2), 0)
+    start = time.perf_counter()
+    x = point.coords()
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    value = evaluate(plane, point)
+    assert time.perf_counter() - start < 1
+    assert x[:4] == (1, -1, 1, -1) and x.count(-1) == n // 2
+    assert value == 3 * n // 2 - 4 * (n // 2)
+    assert CubePoint.from_coords(x) == point
+
+
+def test_binomial_rows_match_math_comb():
+    for s in range(65):
+        assert cube._binomial_row(s) == [math.comb(s, t) for t in range(s + 1)]
+
+
+@pytest.mark.parametrize("chunk_bits", [cube._CHUNK_BITS, 4])
+def test_two_level_planes_at_n_2000_count_exactly(chunk_bits):
+    # one class of 2,000 coordinates; at 4 chunk bits its digit is a high one
+    n = 2000
+    family = CoverFamily((Hyperplane((1,) * n, 0), Hyperplane((1,) * n, 2)))
+    report = verify_cover(family, chunk_bits=chunk_bits)
+    low, high = math.comb(n, n // 2), math.comb(n, n // 2 + 1)
+    assert report.per_plane_counts == (low, high)
+    assert report.num_uncovered == 2**n - low - high
+    assert [pt.bits for pt in report.uncovered_sample] == list(range(32))
+
+
+def test_weights_past_int64_beside_singleton_low_digits_stay_exact():
+    # 18 singletons fill a chunk, so the class of 63 is a high digit whose
+    # weights reach C(63, 31) ~ 2^59; a chunk's count times one passes 2^63
+    singles, size = 18, 63
+    family = CoverFamily((Hyperplane(tuple(range(1, singles + 1)) + (1000,) * size, -999),))
+    signs = 1 - 2 * ((np.arange(1 << singles)[:, None] >> np.arange(singles)) & 1)
+    low = np.bincount(signs @ np.arange(1, singles + 1) + 171, minlength=343)
+    want = 0
+    for t in range(size + 1):
+        s = 999 - 1000 * (size - 2 * t)  # the singleton sum the plane needs
+        if -171 <= s <= 171:
+            want += int(low[s + 171]) * math.comb(size, t)
+    assert verify_cover(family).per_plane_counts == (want,)
 
 
 @st.composite

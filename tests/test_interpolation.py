@@ -520,8 +520,8 @@ def test_recover_errors_are_raised_at_the_first_bad_atom_in_scheme_order():
 
 def test_scheme_integer_weights_reproduce_atoms():
     scheme = build_scheme(10, 4, 2, (4, 8))
-    assert [pt for pt, _ in scheme._terms] == [pt for pt, _, _ in scheme.atoms]
-    for (_, w), (_, weight, sign) in zip(scheme._terms, scheme.atoms):
+    assert list(scheme._points) == [pt for pt, _, _ in scheme.atoms]
+    for w, (_, weight, sign) in zip(scheme._nums, scheme.atoms, strict=True):
         assert Fraction(w, scheme._den) == sign * weight
 
 
@@ -529,7 +529,7 @@ def test_scheme_integer_form_matches_the_reference_on_the_grid():
     # reference_scheme's weights are Fraction products, one object per support point
     for n, m, d, subset in itertools.islice(_reference_grid(), 0, None, 5):
         scheme, want = build_scheme(n, m, d, subset), reference_scheme(n, m, d, subset)
-        assert (scheme._den, scheme._terms) == (want._den, want._terms), (n, m, d, subset)
+        assert (scheme._den, scheme._points, scheme._nums) == (want._den, want._points, want._nums), (n, m, d, subset)
 
 
 def _with_weights(scheme, weights):
@@ -548,14 +548,15 @@ def test_shared_weights_integerize_like_distinct_ones(shape):
     assert len(set(map(id, distinct))) == len(weights)
     for form in (distinct, [f"{w.numerator}/{w.denominator}" for w in weights]):
         other = _with_weights(scheme, form)
-        assert (other._den, other._terms) == (scheme._den, scheme._terms)
+        assert (other._den, other._points, other._nums) == (scheme._den, scheme._points, scheme._nums)
 
 
 def test_int_weight_integerizes_like_a_fraction():
     scheme = build_scheme(1, 2, 0, ())
     assert [(pt.bits, w, s) for pt, w, s in scheme.atoms] == [(0, 1, 1)]
     other = _with_weights(scheme, [1])
-    assert (other._den, other._terms) == (scheme._den, scheme._terms) == (1, ((CubePoint(0, 1), 1),))
+    assert (other._den, other._points, other._nums) == (scheme._den, scheme._points, scheme._nums)
+    assert (scheme._den, scheme._points, scheme._nums) == (1, (CubePoint(0, 1),), (1,))
 
 
 def test_scheme_checks_hold_with_shared_weights():
