@@ -35,6 +35,19 @@ fields (past 8 bytes, one ``to_bytes`` per field) packs each term's
 numerators and, per call, reads the k fields back in one step, linear in k.
 Each becomes ``Fraction(field, D)``, with D = 1 from ``cube._fraction``, a
 bounded cache of immutable integer ``Fraction``s.
+
+The packed sum is the only input of that last step, since the fields, the
+bias and D are fixed per polynomial, so the tables also hold a map from the
+packed sum to the finished tuple, and a later call that reaches the same sum
+returns that tuple without unpacking. The key is the exact integer, so a hit
+returns what the decode would; the polynomial is immutable, so no entry goes
+stale. The map keeps at most ``_INTERN_FIELDS`` fields (entries times k) per
+polynomial, filled in call order and never evicted, and only when every
+field and D fit a signed machine word (W at most 8 bytes, D below 2^63):
+each kept Fraction is then two word-sized integers, so the map's memory is
+bounded, where wider numerators or denominators would let it grow with
+their size. Any other polynomial, and one with k above the bound, keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +66,10 @@ from .subsets import mask_of
 # Terms per group: a group's subset sums fill one 256-entry table.
 _GROUP = 8
 
+# Most fields (entries times k) that one polynomial's map from packed sums to
+# returned values keeps: 8,192 values at k = 2, under 4 MiB at worst (k = 1).
+_INTERN_FIELDS = 1 << 14
+
 
 @dataclass(frozen=True, eq=True)
 class MultilinearPoly:
@@ -62,10 +79,13 @@ class MultilinearPoly:
     read the support directly. The zero polynomial has an empty map and, by
     convention, degree 0. Construction also stores the common denominator
     ``_den`` and the (mask, integer numerators) pairs ``_terms``; the first
-    ``value_at`` call builds and stores its lookup tables ``_tables`` from
-    them, and a pickle leaves the tables out. None of the three is a field,
-    so equality and ``repr`` read ``coeffs`` alone, and construction holds
-    nothing k long beyond the coefficients.
+    ``value_at`` call builds and stores ``_tables`` from them: the lookup
+    tables, and the map from packed sums to returned values, which holds at
+    most ``_INTERN_FIELDS`` fields and is exact because the packed sum alone
+    determines the value (see the module docstring). A pickle leaves
+    ``_tables`` out. None of the three is a field, so equality and ``repr``
+    read ``coeffs`` alone, and construction holds nothing k long beyond the
+    coefficients.
     """
 
     n: int
@@ -102,20 +122,27 @@ class MultilinearPoly:
     def value_at(self, bits: int) -> tuple[Fraction, ...]:
         """Evaluate at a point mask: for each group of terms, the parities
         looked up from the mask's bytes pick one packed sum of flips, which
-        is added to the packed totals (see the module docstring)."""
+        is added to the packed totals; a sum reached before returns the
+        tuple it gave then (see the module docstring)."""
         if bits < 0 or bits >> self.n:
             raise UsageError(f"mask 0x{bits:x} out of range for n={self.n}")
-        window, size, groups, acc, fields, bias, den = self._tables or _build_tables(self)
+        window, size, groups, acc, fields, bias, den, seen, room = self._tables or _build_tables(self)
         raw = (bits & window).to_bytes(size, "little")
         for parts, sums in groups:
             odd = 0
             for j, parity in parts:
                 odd ^= parity[raw[j]]
             acc += sums[odd]
-        nums = fields.unpack((acc ^ bias).to_bytes(fields.size, "little"))
-        if den == 1:
-            return tuple(map(_fraction, nums))
-        return tuple(Fraction(a, den) for a in nums)
+        value = seen.get(acc)
+        if value is None:
+            nums = fields.unpack((acc ^ bias).to_bytes(fields.size, "little"))
+            if den == 1:
+                value = tuple(map(_fraction, nums))
+            else:
+                value = tuple(Fraction(a, den) for a in nums)
+            if len(seen) < room:
+                seen[acc] = value
+        return value
 
 
 def _parity_table(column: bytes) -> bytes:
@@ -198,7 +225,9 @@ def _build_tables(poly: MultilinearPoly):
             flip = -2 * row
             sums += [s + flip for s in sums]
         groups.append((tuple(parts), sums))
-    tables = ((1 << 8 * size) - 1, size, tuple(groups), bias + sum(rows), fields, bias, poly._den)
+    # Entries the map of values may keep: none unless fields and D are word-sized.
+    room = _INTERN_FIELDS // k if width <= 8 and poly._den >> 63 == 0 else 0
+    tables = ((1 << 8 * size) - 1, size, tuple(groups), bias + sum(rows), fields, bias, poly._den, {}, room)
     object.__setattr__(poly, "_tables", tables)
     return tables
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from skewcube.cube import CubePoint
 from skewcube.errors import BadModulus, DegreeOutOfRange, DimensionTooLarge, UsageError
 from skewcube.fourier import (
+    _INTERN_FIELDS,
     MultilinearPoly,
     ValueTable,
     check_transform_size,
@@ -416,6 +417,86 @@ def test_evaluation_changes_neither_equality_repr_nor_pickle():
     assert "_tables" in vars(poly)
     assert poly == twin and repr(poly) == before[0]
     assert pickle.dumps(poly) == before[1]
+    # A second pass reads every value from the map of values: only hits.
+    assert 0 < len(_interned(poly)) < 1 << 10
+    kept = dict(_interned(poly))
+    assert [poly.value_at(x) for x in range(1 << 10)] == values
+    assert _interned(poly) == kept
+    assert poly == twin and repr(poly) == before[0]
+    assert pickle.dumps(poly) == before[1]
     again = pickle.loads(pickle.dumps(poly))
     assert again == poly and "_tables" not in vars(again)
     assert [again.value_at(x) for x in range(1 << 10)] == values
+    assert [again.value_at(x) for x in range(1 << 10)] == values
+    assert pickle.dumps(again) == before[1]
+
+
+def _interned(poly):
+    """The map from packed sums to returned values in poly's tables."""
+    return poly._tables[7]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interned_values_equal_inverse_wht(seed):
+    # Few terms of entries in [-4, 4]: 1,024 masks reach far fewer values,
+    # so most calls are hits, on the integer path and on Fraction(a, 3).
+    ints = random_poly(10, 3, 2, seed)
+    thirds = MultilinearPoly(10, 2, {mask: tuple(x / 3 for x in vec) for mask, vec in ints.coeffs.items()})
+    assert ints._den == 1 and thirds._den == 3
+    for poly in (ints, thirds):
+        want = list(inverse_wht(poly).values)
+        first = [poly.value_at(x) for x in range(1 << 10)]
+        assert first == want
+        assert len(_interned(poly)) == len({poly.value_at(x) for x in range(1 << 10)}) < 1 << 9
+        again = [poly.value_at(x) for x in range(1 << 10)]
+        assert again == want
+        assert all(type(v) is Fraction for row in again for v in row)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_interned_fields_never_exceed_the_bound(k):
+    # Distinct powers of two on the 14 singletons: all 2^14 values differ.
+    n = 14
+    poly = MultilinearPoly(n, k, {1 << i: (Fraction(2**i, 7),) + (-(2**i),) * (k - 1) for i in range(n)})
+    want = inverse_wht(poly).values
+    assert len(set(want)) == 1 << n > _INTERN_FIELDS // k
+    for x in range(1 << n):
+        assert poly.value_at(x) == want[x]
+        assert len(_interned(poly)) * k <= _INTERN_FIELDS
+    assert len(_interned(poly)) == _INTERN_FIELDS // k
+    assert [poly.value_at(x) for x in range(1 << n)] == list(want)
+    assert len(_interned(poly)) == _INTERN_FIELDS // k
+
+
+def test_k_above_the_bound_or_wide_numbers_intern_nothing():
+    k = _INTERN_FIELDS + 1
+    wide_k = MultilinearPoly(3, k, {0b101: tuple(range(1, k + 1)), 0: (3,) * k})
+    # Fields past 8 bytes, and a common denominator of 2^63.
+    wide_fields = MultilinearPoly(3, 1, {0b1: (2**70,), 0b110: (5,)})
+    wide_den = MultilinearPoly(3, 1, {0b1: (Fraction(1, 2**63),), 0b110: (5,)})
+    for poly in (wide_k, wide_fields, wide_den):
+        want = inverse_wht(poly).values
+        for _ in range(2):
+            assert [poly.value_at(x) for x in range(8)] == list(want)
+        assert _interned(poly) == {}
+
+
+def test_interned_values_at_k_1_hold_under_4_mib():
+    # The most a value can hold at k = 1: a numerator and a denominator just
+    # under 2^63 (the largest prime there), and an 8-byte key; all 2^15
+    # values differ, and the first _INTERN_FIELDS + 64 masks fill the map.
+    n, den = 15, 2**63 - 25
+    rng = random.Random(3)
+    poly = MultilinearPoly(n, 1, {1 << i: (Fraction(rng.randrange(2**57, 2**58), den),) for i in range(n)})
+    assert poly._tables is None and poly._den == den
+    poly.value_at(0)
+    assert poly._tables[4].size == 8
+    tracemalloc.start()
+    try:
+        for x in range(_INTERN_FIELDS + 64):
+            poly.value_at(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(_interned(poly)) == _INTERN_FIELDS
+    assert held < 4 << 20

@@ -17,7 +17,7 @@ from skewcube.errors import (
     SkewcubeError,
 )
 from skewcube.cube import CubePoint
-from skewcube.fourier import inverse_wht, random_poly, w_set, wht
+from skewcube.fourier import MultilinearPoly, inverse_wht, random_poly, w_set, wht
 from skewcube.interpolation import (
     ChunkLayout,
     InterpolationScheme,
@@ -27,7 +27,7 @@ from skewcube.interpolation import (
     recover_coefficient,
     vanishing_dimension,
 )
-from skewcube.subsets import mask_of
+from skewcube.subsets import labels_of, mask_of
 
 
 # The chunk product distribution's support in plain Fraction arithmetic: the
@@ -276,6 +276,23 @@ def test_recover_exact_small_grid():
                 table = inverse_wht(poly)
                 direct = wht(table).coeffs.get(mask_of(S), (Fraction(0),))
                 assert recover_coefficient(scheme, table) == direct
+
+
+def test_recover_rational_polys_through_value_at():
+    # Every coefficient divided by 3: value_at returns Fraction(a, 3)s, most
+    # of them read back from the polynomial's map of values.
+    zero = (Fraction(0),) * 2
+    polys = []
+    for seed in range(8):
+        ints = random_poly(14, 3, 2, seed)
+        polys.append(MultilinearPoly(14, 2, {mask: tuple(x / 3 for x in vec) for mask, vec in ints.coeffs.items()}))
+    assert all(p._den == 3 for p in polys)
+    masks = [max(mask for mask in p.coeffs if mask.bit_count() == 3) for p in polys]
+    for mask in masks:
+        scheme = build_scheme(14, 4, 3, labels_of(mask))
+        for p in polys:
+            got = recover_coefficient(scheme, lambda pt, p=p: p.value_at(pt.bits))
+            assert got == p.coeffs.get(mask, zero), (mask, got)
 
 
 def test_recover_missing_value():
