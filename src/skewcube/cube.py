@@ -24,8 +24,10 @@ aligned index ranges. It builds the sums of the low digits for blocks of
 planes (at most 2^chunk_bits cells), once per block, and compares each
 plane's with its per-chunk target, yielding a boolean hit matrix. Of its two
 consumers, verify_cover's range jobs sum weighted counts and _bitsets packs
-the hits into uint64 words: the search pool's rows directly, and through
-_plane_words the Hyperplanes that covered_set and greedy_cover evaluate.
+the hits into uint64 words: the search pool's rows directly (greedy_cover
+reads a candidate pool's words and evaluates nothing), and through
+_plane_words the Hyperplanes of covered_set and of a greedy_cover given a
+list of planes.
 Its arrays are int64 when the scaled integer values fit comfortably and
 Python ints otherwise, so no input changes the exactness of the answer.
 

@@ -4,9 +4,12 @@ The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
 and do somewhere by one capped pass of ``cube._bitsets``, and orders them
 canonically. It stays three numpy arrays, the coefficient matrix, the offsets
-and the bitsets (one row of uint64 words per plane), from that pass to the
-search, which reads its symmetry rule and its root rule off the coefficient
-matrix. The root branches only on the canonical planes, one per orbit under
+and the bitsets (one row of uint64 words per plane), from that pass to every
+consumer: the search reads its symmetry rule and its root rule off the
+coefficient matrix, and ``candidate_pool`` wraps the arrays in a ``Pool``, a
+read-only sequence that builds a plane only when one is read, whose words
+``greedy_cover`` reads instead of evaluating the planes again. The root of
+the search branches only on the canonical planes, one per orbit under
 coordinate permutations, sign flips and negation. The cover search is
 depth-first branch and bound with iterative deepening on the family size,
 starting at the proven lower bound ceil(n/2 + 1): asking for fewer planes than
@@ -33,7 +36,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +114,63 @@ def lower_bound(n: int) -> int:
     return (n + 3) // 2
 
 
-def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperplane]:
-    """All primitive skew integer planes within bounds that cover >= 1 point.
+class Pool(Sequence):
+    """The read-only sequence of a candidate pool's planes over {-1,1}^n,
+    kept as ``_pool_rows``' three arrays: coefficient rows, offsets and word
+    rows. A plane is built only when it is read, through
+    ``Hyperplane._from_int_row``. The first iteration builds every plane,
+    sharing one tuple of ints and one of Fractions across each run of rows
+    with one a (rows run with b fastest), and keeps the list, so later
+    passes (==, repr, pickle, another loop) build nothing. A slice is a
+    Pool over the sliced arrays. It compares equal to a list or Pool of the
+    same planes in the same order, is unhashable, and its repr and pickle
+    are those of its list of planes."""
+
+    __slots__ = ("n", "_a", "_b", "_words", "_planes")
+    __hash__ = None
+
+    def __init__(self, n: int, a, b, words):
+        self.n, self._a, self._b, self._words, self._planes = n, a, b, words, None
+
+    def __len__(self) -> int:
+        return len(self._b)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Pool(self.n, self._a[i], self._b[i], self._words[i])
+        i = operator.index(i)
+        row = tuple(self._a[i].tolist())
+        return Hyperplane._from_int_row(row, int(self._b[i]), tuple(map(cube._fraction, row)))
+
+    def __iter__(self):
+        if self._planes is None:
+            a, b = self._a, self._b
+            # A run starts where a row's a differs from the row before (a[0] - 1 for row 0).
+            starts = np.flatnonzero(np.diff(a, axis=0, prepend=a[:1] - 1).any(axis=1)).tolist()
+            planes: list[Hyperplane] = []
+            for lo, hi in zip(starts, starts[1:] + [len(b)]):
+                row = tuple(a[lo].tolist())
+                fractions = tuple(map(cube._fraction, row))
+                planes += [Hyperplane._from_int_row(row, v, fractions) for v in b[lo:hi].tolist()]
+            self._planes = planes
+        return iter(self._planes)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Pool)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> Pool:
+    """All primitive skew integer planes within bounds that cover >= 1 point,
+    as a ``Pool``: a read-only sequence that builds a plane only when it is
+    read.
 
     Coefficients range over {-B..B} minus 0 with the leading one positive
     (a plane and its negation are the same set), contents divided by their
@@ -120,20 +180,11 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> list[Hyperpla
     when (2B)^n (2 offset_bound + 1) raw planes times 2^n points exceed 2^28,
     or when B (2B)^(n-1) (2 min(offset_bound, nB) + 1) raw planes exceed 2^20.
 
-    The planes come straight from ``_pool_rows``' arrays through
-    ``Hyperplane._from_int_row``, with no per-row checks. The rows run with b
-    fastest, so each run of rows with one a shares a single tuple of ints and
-    one of Fractions (2,016 of them for the 13,088 planes of n = 6, B = 2).
+    The pool keeps ``_pool_rows``' arrays, word rows included, so
+    ``greedy_cover`` reads its coverage without evaluating a plane again.
+    ``list(pool)`` gives the planes as a list.
     """
-    a, b, _ = _pool_rows(n, coeff_bound, offset_bound)
-    # A run starts where a row's a differs from the row before (a[0] - 1 for row 0).
-    starts = np.flatnonzero(np.diff(a, axis=0, prepend=a[:1] - 1).any(axis=1)).tolist()
-    pool: list[Hyperplane] = []
-    for lo, hi in zip(starts, starts[1:] + [len(b)]):
-        row = tuple(a[lo].tolist())
-        fractions = tuple(map(cube._fraction, row))
-        pool += [Hyperplane._from_int_row(row, v, fractions) for v in b[lo:hi].tolist()]
-    return pool
+    return Pool(n, *_pool_rows(n, coeff_bound, offset_bound))
 
 
 def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
@@ -407,15 +458,23 @@ def greedy_cover(n: int, pool) -> CoverFamily:
 
     Ties break toward the earlier pool position, so feeding a canonically
     ordered pool keeps the result deterministic. Raises when the pool cannot
-    finish the cover.
+    finish the cover. A ``Pool`` (what ``candidate_pool`` returns, or a
+    slice of it) gives its word rows, so no plane is evaluated and only the
+    planes taken are built; any other iterable of planes is evaluated once
+    by ``cube._plane_words``.
     """
-    planes = list(pool)
+    planes = pool if isinstance(pool, Pool) else list(pool)
     if not planes:
         raise PoolInsufficient("empty pool")
-    for p in planes:
-        if p.n != n:
-            raise DimensionMismatch(f"pool plane has n={p.n}, expected {n}")
-    words = cube._plane_words(planes, n)
+    if isinstance(planes, Pool):
+        if planes.n != n:
+            raise DimensionMismatch(f"pool plane has n={planes.n}, expected {n}")
+        words = planes._words
+    else:
+        for p in planes:
+            if p.n != n:
+                raise DimensionMismatch(f"pool plane has n={p.n}, expected {n}")
+        words = cube._plane_words(planes, n)
     covered = np.zeros(words.shape[1], dtype=words.dtype)
     left = 1 << n
     chosen: list[int] = []

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from skewcube import cube
 from skewcube.constructions import level_set_cover, power_of_two_cover
 from skewcube.cube import CoverFamily, Hyperplane, covered_set, is_skew, verify_cover
-from skewcube.errors import DimensionTooLarge, PoolInsufficient, UsageError
+from skewcube.errors import DimensionMismatch, DimensionTooLarge, PoolInsufficient, UsageError
 from skewcube.search import (
     SearchConfig,
     SearchOutcome,
     SearchStatus,
+    Pool,
     _ints,
     _pool_rows,
     candidate_pool,
@@ -299,20 +300,71 @@ GREEDY_POOLS = [(6, 2, 6), *[cfg for cfg in SMALL_POOLS if cfg[0] > 1][::5]]
 def test_greedy_matches_the_loop_over_int_bitsets(n, coeff_bound, offset):
     whole = candidate_pool(n, coeff_bound, offset)
     # reversed, the pool breaks ties the other way; its first third may
-    # leave points uncovered
+    # leave points uncovered. A Pool reads its own words and a list of its
+    # planes is evaluated again; both must pick the same planes.
     for pool in filter(None, (whole, whole[::-1], whole[: len(whole) // 3])):
+        assert isinstance(pool, Pool)
         try:
             want = reference_greedy(n, pool)
         except PoolInsufficient as exc:
-            with pytest.raises(PoolInsufficient, match=str(exc)):
-                greedy_cover(n, pool)
+            for planes in (pool, list(pool)):
+                with pytest.raises(PoolInsufficient, match=f"^{exc}$"):
+                    greedy_cover(n, planes)
         else:
-            assert greedy_cover(n, pool) == want
+            assert greedy_cover(n, pool) == greedy_cover(n, list(pool)) == want
 
 
 def test_greedy_insufficient_pool():
     with pytest.raises(PoolInsufficient):
         greedy_cover(2, [Hyperplane((1, 1), 0)])
+
+
+def test_greedy_checks_a_pool_like_a_list():
+    pool = candidate_pool(3, 1, 3)
+    for planes in (pool, list(pool)):
+        with pytest.raises(DimensionMismatch, match="pool plane has n=3, expected 4"):
+            greedy_cover(4, planes)
+    # emptiness is tested first, whatever the dimension
+    for planes in (pool[:0], []):
+        for n in (3, 4):
+            with pytest.raises(PoolInsufficient, match="^empty pool$"):
+                greedy_cover(n, planes)
+
+
+def assert_pool_is_a_sequence_of_its_rows(n, coeff_bound, offset):
+    pool = candidate_pool(n, coeff_bound, offset)
+    want = [Hyperplane(a, b) for a, b in pool_rows(n, coeff_bound, offset)]
+    assert isinstance(pool, Pool) and pool.n == n and len(pool) == len(want)
+    planes = list(pool)
+    assert planes == want
+    # the first pass keeps its planes, so a second one builds none
+    assert all(p is q for p, q in zip(planes, pool, strict=True))
+    assert [pool[i] for i in range(len(pool))] == want
+    if want:
+        assert pool[-1] == want[-1] and pool[-len(want)] == want[0]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            pool[i]
+    for cut in (slice(None, None, -1), slice(len(want) // 3), slice(0)):
+        part = pool[cut]
+        assert isinstance(part, Pool) and part.n == n
+        assert list(part) == want[cut]
+        assert part == want[cut] and want[cut] == part
+    with pytest.raises(TypeError):
+        hash(pool)
+    assert pool == want and want == pool and pool == pool[:]
+    if len(want) > 1:
+        assert pool != want[::-1] and want[::-1] != pool
+
+
+@pytest.mark.parametrize("n, coeff_bound", sorted({cfg[:2] for cfg in SMALL_POOLS}))
+def test_pool_is_a_sequence_of_its_rows(n, coeff_bound):
+    for offset in range(coeff_bound * n + 2):
+        assert_pool_is_a_sequence_of_its_rows(n, coeff_bound, offset)
+
+
+def test_pool_is_a_sequence_of_its_rows_benchmark_config():
+    assert_pool_is_a_sequence_of_its_rows(6, 2, 6)
 
 
 def brute_min_cover_size(cov, n, max_k):
@@ -735,14 +787,17 @@ GREEDY_GOLDEN = json.loads((GOLDEN / "greedy_pool_families.json").read_text())
 @pytest.mark.parametrize(
     "record", GREEDY_GOLDEN, ids=lambda r: "n{n}_B{coeff_bound}_off{offset_bound}".format(**r["config"])
 )
-def test_greedy_golden_families(record):
+def test_greedy_golden_families(record, monkeypatch):
     # The families and their pool positions are pinned, so a change to the
-    # pool order or to greedy's tie-break shows here.
+    # pool order or to greedy's tie-break shows here. Greedy reads the
+    # pool's words and evaluates no plane again.
     cfg = record["config"]
     n = cfg["n"]
     pool = candidate_pool(n, cfg["coeff_bound"], cfg["offset_bound"])
     assert len(pool) == record["candidate_pool_size"]
-    family = greedy_cover(n, pool)
+    with monkeypatch.context() as m:
+        m.setattr(cube, "_plane_words", lambda *args: pytest.fail("greedy evaluated its pool again"))
+        family = greedy_cover(n, pool)
     assert family == CoverFamily(tuple(Hyperplane(tuple(p["a"]), p["b"]) for p in record["family"]))
     rows = [p._row for p in pool]
     assert [rows.index(p._row) for p in family] == record["positions"]
