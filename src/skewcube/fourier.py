@@ -12,6 +12,8 @@ same signed sum of numerators over D: Python integers neither round nor
 overflow, and each output entry is reduced once, as ``Fraction(sum, D)``. The
 transform pair is one in-place butterfly; the coefficient direction divides
 by 2^n and the value direction does not, so the round trip is the identity.
+``inverse_wht`` builds one tuple of Fractions per distinct row and shares it
+among the masks where that row occurs.
 
 Point evaluation reads the same numerators through lookup tables, built on
 the first ``value_at`` call (the Method of Four Russians, with the k
@@ -69,6 +71,9 @@ _GROUP = 8
 # Most fields (entries times k) that one polynomial's map from packed sums to
 # returned values keeps: 8,192 values at k = 2, under 4 MiB at worst (k = 1).
 _INTERN_FIELDS = 1 << 14
+
+# The one entry type a ValueTable row keeps without converting it.
+_FRACTION = frozenset((Fraction,))
 
 
 @dataclass(frozen=True, eq=True)
@@ -234,7 +239,10 @@ def _build_tables(poly: MultilinearPoly):
 
 @dataclass(frozen=True, eq=True)
 class ValueTable:
-    """Point-value form: a dense array of 2^n rational vectors, mask-indexed."""
+    """Point-value form: a dense array of 2^n rational vectors, mask-indexed.
+
+    Rows become tuples of Fractions; repeated tuple row objects stay shared.
+    """
 
     n: int
     k: int
@@ -245,7 +253,23 @@ class ValueTable:
             raise UsageError("dimension must be positive")
         if self.k < 1:
             raise UsageError("codomain dimension must be positive")
-        vals = tuple(tuple(map(exact, row)) for row in self.values)
+        # A tuple row is immutable: one of Fractions alone is kept, any other
+        # is converted once per object (rows holds it, so its id is not
+        # reused). Any other row, such as a list, is converted where it stands.
+        rows = tuple(self.values)
+        converted = {}
+        vals = []
+        for row in rows:
+            if type(row) is not tuple:
+                value = tuple(map(exact, row))
+            elif _FRACTION.issuperset(map(type, row)):
+                value = row
+            else:
+                value = converted.get(id(row))
+                if value is None:
+                    value = converted[id(row)] = tuple(map(exact, row))
+            vals.append(value)
+        vals = tuple(vals)
         # 2^n is built only once it is known to be at most len(vals).
         if self.n >= len(vals).bit_length() or len(vals) != 1 << self.n:
             raise UsageError(f"expected 2^{self.n} values, got {len(vals)}")
@@ -286,8 +310,12 @@ def inverse_wht(poly: MultilinearPoly) -> ValueTable:
     for mask, nums in poly._terms:
         vals[mask] = nums
     den = poly._den
-    values = tuple(tuple(Fraction(x, den) for x in row) for row in _butterfly(vals, poly.n))
-    return ValueTable(poly.n, poly.k, values)
+    # One tuple of Fractions per distinct row, shared by the rows equal to it.
+    rows = list(map(tuple, _butterfly(vals, poly.n)))
+    shared = dict.fromkeys(rows)
+    for row in shared:
+        shared[row] = tuple(Fraction(x, den) for x in row)
+    return ValueTable(poly.n, poly.k, tuple(map(shared.__getitem__, rows)))
 
 
 def degree(poly: MultilinearPoly) -> int:

@@ -20,17 +20,19 @@ sign, terms of degree d meeting every chunk reduce to a product of single
 coordinate expectations, and each non-end coordinate is -1 with probability
 exactly 1/2.
 
-Recovery runs on integers. A chunk state's probability is an integer over
-one chunk denominator, so the d + 1 distinct atom weights are built once each
-(see ``build_scheme``), and the scheme stores one common weight denominator D
-and a signed integer numerator w per atom; the weighted sum is
-(sum of w * value) / D. ``recover_coefficient`` reads every atom's value in
-scheme order, keeping a tuple of ints and Fractions as it is and checking any
-other value before it reads the next. ``cube._numerators`` then writes all
-the components as integer numerators p over one denominator L, so each
-component's sum is (sum of w * p) / (L * D), divided once; when every value
-is an integer, L is 1 and p is the value. Each step is integer arithmetic,
-which is exact, so the result equals the rational sum term by term.
+Recovery runs on integers, once per distinct value. A chunk state's
+probability is an integer over one chunk denominator, so the d + 1 distinct
+atom weights are built once each (see ``build_scheme``), and the scheme
+stores one common weight denominator D and a signed integer numerator w per
+atom. ``recover_coefficient`` reads the atoms' values in scheme order and
+gives each distinct value a slot: its entries, once, and the sum W of its
+atoms' w. A tuple of ints and Fractions is immutable, so one returned again
+is found by its id (the slot holds it until the call returns, so no other
+object takes that id); any other value is checked and converted before the
+next atom is read, into a slot of its own. ``cube._numerators`` writes the
+slots' entries as integer numerators p over one denominator L, and each
+component is (sum of W * p) / (L * D), divided once. Every step is exact
+integer arithmetic, so the result equals the rational sum term by term.
 
 A scheme for modulus m and degree d has (2 * (1 + C(m-1, m/2)))^d atoms
 whatever n is. ``check_recovery_size`` bounds a recovery by that count
@@ -249,7 +251,9 @@ def recover_coefficient(
     Equals the coefficient of f at ``scheme.subset`` exactly whenever
     deg(f) <= scheme.d (this includes deg(f) < d, where both sides are zero).
     ``f`` is either a ValueTable or a callback from CubePoint to a rational
-    vector; the callback must be defined at every atom point.
+    vector; the callback must be defined at every atom point. f is called
+    once per atom, in scheme order, a bad value raises before the next call,
+    and each distinct value is summed once (see the module docstring).
     """
     if isinstance(f, ValueTable):
         if f.n != scheme.n:
@@ -262,24 +266,38 @@ def recover_coefficient(
         raise TypeError("f must be a ValueTable or a callable")
 
     k = None
-    entries = []
-    for point in scheme._points:
+    # Slot i is a distinct value, values[i], and the sum weights[i] of its
+    # atoms' signed weight numerators. ``slots`` maps the id of each tuple of
+    # ints and Fractions to its slot; ``values`` holds that tuple until the
+    # call returns, so no other object can take its id meanwhile.
+    slots = {}
+    values = []
+    weights = []
+    for point, w in zip(scheme._points, scheme._nums):
         value = getter(point)
-        # A tuple of k ints and Fractions is summed as it is; any other value
-        # is checked and converted here, before f is called at the next atom.
-        if type(value) is not tuple or len(value) != k or not _EXACT_TYPES.issuperset(map(type, value)):
-            if value is None:
-                raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
+        slot = slots.get(id(value))
+        if slot is not None:
+            weights[slot] += w
+            continue
+        # A new value. A tuple of ints and Fractions is keyed by its id; any
+        # other value is checked and converted here, before f is called at
+        # the next atom, into a slot that no later value can find.
+        if type(value) is tuple and _EXACT_TYPES.issuperset(map(type, value)):
+            slots[id(value)] = len(values)
+        elif value is None:
+            raise MissingValue(f"f is undefined at point mask 0x{point.bits:x}")
+        else:
             value = tuple(v if type(v) is int else exact(v) for v in value)
-            if k is None:
-                k = len(value)
-            elif len(value) != k:
+        if len(value) != k:
+            if k is not None:
                 raise MissingValue("f returned vectors of inconsistent dimension")
-        entries += value
-    # Component j of atom i is entries[i * k + j].
-    den, (nums,) = _numerators((entries,))
+            k = len(value)
+        values.append(value)
+        weights.append(w)
+    # Component j of slot i is nums[i * k + j].
+    den, (nums,) = _numerators((list(itertools.chain.from_iterable(values)),))
     den *= scheme._den
-    return tuple(Fraction(sum(map(operator.mul, scheme._nums, nums[j::k])), den) for j in range(k))
+    return tuple(Fraction(sum(map(operator.mul, weights, nums[j::k])), den) for j in range(k))
 
 
 def vanishing_dimension(n: int, m: int, d: int) -> int:
@@ -343,6 +361,20 @@ def vanishing_dimension(n: int, m: int, d: int) -> int:
     nonzero, and V is the Vandermonde matrix of u^0 .. u^(rows_k - 1) at the
     cols_k distinct nodes u = w - k. A Vandermonde matrix on distinct nodes
     has rank min(rows, cols), and so has L V.
+
+    Edge: for d >= 1 the dimension is 0 at n = d*m + 1 and positive at
+    n = d*m. At n = d*m + 1, rows_0 = d + 1 = floor(n / m) + 1 = cols_0.
+    For 1 <= k <= d, n - k > d, so rows_k = d - k + 1. Write k = a*m - b
+    with a >= 1 and 0 <= b < m. Then floor((k - 1) / m) = a - 1 and
+    floor((n - k) / m) = d - a + floor((b + 1) / m), so
+    cols_k >= d - 2a + 1, with one more when b = m - 1. If b <= m - 2,
+    k >= (a - 1)*m + 2 >= 2a, so rows_k <= d - 2a + 1 <= cols_k. If
+    b = m - 1, k = (a - 1)*m + 1 >= 2a - 1, so rows_k <= d - 2a + 2 =
+    cols_k. Every term is then 0. A larger n keeps every rows_k and lowers
+    no cols_k, so the dimension stays 0. At n = d*m the part k = 1 has
+    rows_1 = d and cols_1 = floor((d*m - 1) / m) = d - 1, so it adds
+    n - 1 > 0. ``test_vanishing_dimension_edge_is_n_equals_d_m_plus_1``
+    checks both sides for even m <= 10 and d <= 7.
 
     Cost: one pass over k with a few integer operations each, plus two
     binomials for each k with rows_k > cols_k.

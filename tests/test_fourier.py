@@ -277,6 +277,68 @@ def test_entries_are_coerced_once_and_floats_refused():
         ValueTable(1, 1, ((Fraction(1),), (0.5,)))
 
 
+
+def _unshared(table):
+    """An equal table with a new tuple of new Fractions at every mask."""
+    rows = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in table.values)
+    return ValueTable(table.n, table.k, rows)
+
+
+@pytest.mark.parametrize("n, d, k, seed", [(6, 2, 1, 0), (10, 3, 2, 1), (14, 3, 2, 0)])
+def test_inverse_wht_shares_one_object_per_distinct_row(n, d, k, seed):
+    poly = random_poly(n, d, k, seed)
+    table = inverse_wht(poly)
+    rows = table.values
+    assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
+    assert wht(table) == poly
+    plain = _unshared(table)
+    assert len(set(map(id, plain.values))) == len(rows)
+    assert table == plain and repr(table) == repr(plain)
+    again = pickle.loads(pickle.dumps(table))
+    assert again == plain and repr(again) == repr(plain)
+    assert len(set(map(id, again.values))) == len(set(rows))
+    assert all(rows[x] == _direct_values(poly, x) for x in range(0, 1 << n, 1 + (1 << n) // 64))
+
+
+def test_value_table_keeps_repeated_row_objects_shared():
+    half, ints, strings = (Fraction(1, 2), Fraction(3)), (1, -2), ("1/3", 4)
+    table = ValueTable(3, 2, (half, ints, strings, half, ints, strings, half, ints))
+    values = table.values
+    # a tuple of Fractions is kept as it is; any other tuple is converted once
+    assert values[0] is values[3] is values[6] is half
+    assert values[1] is values[4] is values[7] and values[2] is values[5]
+    assert values[1] == (Fraction(1), Fraction(-2)) and values[2] == (Fraction(1, 3), Fraction(4))
+    assert all(type(x) is Fraction for row in values for x in row)
+
+
+def test_value_table_of_fresh_tuples_from_a_generator():
+    # the generator's tuples are held while they are converted, so a freed
+    # tuple's id, reused by the next, never finds another row's conversion
+    rows = [(x, Fraction(x, 3)) for x in range(16)]
+    table = ValueTable(4, 2, (tuple(list(row)) for row in rows))
+    assert table.values == tuple((Fraction(x), Fraction(x, 3)) for x in range(16))
+
+
+def test_value_table_converts_and_checks_every_list_row():
+    reads = []
+
+    class Row(list):
+        def __iter__(self):
+            reads.append(id(self))
+            return super().__iter__()
+
+    row = Row([1, "1/2"])
+    table = ValueTable(2, 2, [row, row, [3, 4], row])
+    assert reads == [id(row)] * 3
+    assert table.values == ((Fraction(1), Fraction(1, 2)),) * 2 + ((Fraction(3), Fraction(4)), (Fraction(1), Fraction(1, 2)))
+    assert table.values[0] is not table.values[1]
+    # the same iterator twice is read once, and its second row is empty
+    it = iter((1, 2))
+    with pytest.raises(UsageError, match="length k"):
+        ValueTable(1, 2, [it, it])
+    with pytest.raises(TypeError):
+        ValueTable(1, 2, [[1, 2], [1, 0.5]])
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_value_at_returns_fractions_equal_to_inverse_wht(n, k):

@@ -640,6 +640,84 @@ def test_recover_tuples_lists_and_generators_agree(shape):
         assert recover_coefficient(scheme, mixed) == want
 
 
+def _distinct_rationals(scheme):
+    """A different (int, Fraction) pair at every atom point, as lists."""
+    return {pt.bits: [pt.bits % 11 - 5, Fraction(pt.bits % 7 - 3, 1 + pt.bits % 4)] for pt in scheme._points}
+
+
+@pytest.mark.parametrize("shape", _SCHEME_SHAPES + [(14, 4, 3, (4, 8, 12))])
+def test_recover_fresh_tuples_that_die_after_each_call(shape):
+    # Each call builds a new tuple that nothing else holds, so CPython hands
+    # the next one the same memory: the id of a freed value is reused.
+    scheme = build_scheme(*shape)
+    values = _distinct_rationals(scheme)
+    f = lambda pt: tuple(values[pt.bits])
+    assert recover_coefficient(scheme, f) == _fraction_sum_oracle(scheme, f)
+
+
+@pytest.mark.parametrize("shape", _SCHEME_SHAPES)
+def test_recover_reads_a_mutated_list_at_every_call(shape):
+    scheme = build_scheme(*shape)
+    values = _distinct_rationals(scheme)
+    buffer = [0, 0]
+
+    def f(pt):
+        buffer[:] = values[pt.bits]
+        return buffer
+
+    assert recover_coefficient(scheme, f) == _fraction_sum_oracle(scheme, lambda pt: values[pt.bits])
+
+
+@pytest.mark.parametrize("shape", _SCHEME_SHAPES + [(1, 2, 0, ())])
+def test_recover_the_same_tuple_at_every_atom(shape):
+    scheme = build_scheme(*shape)
+    value = (3, Fraction(-7, 2), 2**70)
+    calls = []
+
+    def f(pt):
+        calls.append(pt.bits)
+        return value
+
+    got = recover_coefficient(scheme, f)
+    assert calls == [pt.bits for pt in scheme._points]
+    assert got == _fraction_sum_oracle(scheme, f)
+    # the signed weights sum to 0 when d >= 1 and to 1 when d = 0
+    assert got == (value if scheme.d == 0 else (0, 0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SCHEME_SHAPES),
+    st.lists(
+        st.tuples(st.integers(-(2**70), 2**70), st.fractions(max_denominator=10**20)), min_size=1, max_size=4
+    ),
+    st.data(),
+)
+def test_recover_shared_tuples_mixed_with_lists_and_generators(shape, pool, data):
+    # Each atom reads one pool entry in one form: the shared tuple itself, a
+    # fresh tuple, a list or a generator.
+    scheme = build_scheme(*shape)
+    forms = {
+        "shared": lambda v: v,
+        "fresh": lambda v: tuple(list(v)),
+        "list": list,
+        "generator": lambda v: (x for x in v),
+    }
+    choice = {
+        pt.bits: (data.draw(st.sampled_from(sorted(forms))), data.draw(st.integers(0, len(pool) - 1)))
+        for pt in scheme._points
+    }
+    calls = []
+
+    def f(pt):
+        calls.append(pt.bits)
+        form, i = choice[pt.bits]
+        return forms[form](pool[i])
+
+    assert recover_coefficient(scheme, f) == _fraction_sum_oracle(scheme, lambda pt: pool[choice[pt.bits][1]])
+    assert calls == [pt.bits for pt in scheme._points]
+
+
 def test_atom_count_matches_build_scheme():
     from skewcube.interpolation import atom_count
 
