@@ -13,7 +13,8 @@ overflow, and each output entry is reduced once, as ``Fraction(sum, D)``. The
 transform pair is one in-place butterfly; the coefficient direction divides
 by 2^n and the value direction does not, so the round trip is the identity.
 ``inverse_wht`` builds one tuple of Fractions per distinct row and shares it
-among the masks where that row occurs.
+among the masks where that row occurs, and ``wht`` integerizes each distinct
+row object of its table once.
 
 Point evaluation reads the same numerators through lookup tables, built on
 the first ``value_at`` call (the Method of Four Russians, with the k
@@ -253,10 +254,13 @@ class ValueTable:
             raise UsageError("dimension must be positive")
         if self.k < 1:
             raise UsageError("codomain dimension must be positive")
+        rows = tuple(self.values)
+        # 2^n is built only once it is known to be at most len(rows).
+        if self.n >= len(rows).bit_length() or len(rows) != 1 << self.n:
+            raise UsageError(f"expected 2^{self.n} values, got {len(rows)}")
         # A tuple row is immutable: one of Fractions alone is kept, any other
         # is converted once per object (rows holds it, so its id is not
         # reused). Any other row, such as a list, is converted where it stands.
-        rows = tuple(self.values)
         converted = {}
         vals = []
         for row in rows:
@@ -270,9 +274,6 @@ class ValueTable:
                     value = converted[id(row)] = tuple(map(exact, row))
             vals.append(value)
         vals = tuple(vals)
-        # 2^n is built only once it is known to be at most len(vals).
-        if self.n >= len(vals).bit_length() or len(vals) != 1 << self.n:
-            raise UsageError(f"expected 2^{self.n} values, got {len(vals)}")
         if any(len(row) != self.k for row in vals):
             raise UsageError("value rows must all have length k")
         object.__setattr__(self, "values", vals)
@@ -296,8 +297,12 @@ def _butterfly(vals: np.ndarray, n: int) -> list[list[int]]:
 def wht(table: ValueTable) -> MultilinearPoly:
     """Coefficients from values: hat(S) = 2^-n * sum_x f(x) * (-1)^|S & x|."""
     check_transform_size(table.n, table.k)
-    den, nums = _numerators(table.values)
-    vals = _butterfly(np.array(nums, dtype=object), table.n)
+    # Each distinct row object is integerized once; the table holds every
+    # row, so no id is reused meanwhile.
+    distinct = {id(row): row for row in table.values}
+    den, nums = _numerators(distinct.values())
+    nums = dict(zip(distinct, nums))
+    vals = _butterfly(np.array([nums[id(row)] for row in table.values], dtype=object), table.n)
     den <<= table.n
     coeffs = {mask: tuple(Fraction(x, den) for x in row) for mask, row in enumerate(vals) if any(row)}
     return MultilinearPoly(table.n, table.k, coeffs)

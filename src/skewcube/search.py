@@ -3,7 +3,11 @@
 The candidate pool enumerates primitive integer planes within coefficient and
 offset bounds, keeps only those that can vanish on the cube (parity filter)
 and do somewhere by one capped pass of ``cube._bitsets``, and orders them
-canonically. It stays three numpy arrays, the coefficient matrix, the offsets
+canonically. The parity and primitivity filters are one broadcast mask over
+the (coefficient row x offset) grid, whose kept cells come in canonical
+order, and the pass evaluates the kept planes in the narrowest signed dtype
+that holds 2nB + 1; the arrays it returns are int64 (the words uint64).
+It stays three numpy arrays, the coefficient matrix, the offsets
 and the bitsets (one row of uint64 words per plane), from that pass to every
 consumer: the search reads its symmetry rule and its root rule off the
 coefficient matrix, and ``candidate_pool`` wraps the arrays in a ``Pool``, a
@@ -188,10 +192,13 @@ def candidate_pool(n: int, coeff_bound: int, offset_bound: int) -> Pool:
 
 
 def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
-    """The pool as int64 arrays (a, b, words) in colex order: coefficient rows,
-    offsets and bitsets. The raw grid, numbered with b fastest, then
-    a_1..a_n, is decoded, masked by parity and gcd and handed to
-    ``cube._bitsets`` in slices of at most 2^_CHUNK_BITS cells."""
+    """The pool as arrays (a, b, words) in colex order: int64 coefficient rows
+    and offsets, and uint64 bitsets. The B (2B)^(n-1) coefficient rows are
+    built once, in colex order, and the (row x offset) grid is masked by
+    parity and by gcd(content(a), |b|) = 1 in one broadcast step, whose
+    kept cells, read row by row, come with b fastest. The kept planes go to
+    ``cube._bitsets`` in slices of at most 2^_CHUNK_BITS cells, in the
+    narrowest signed dtype that holds 2nB + 1."""
     if n < 1:
         raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
@@ -200,32 +207,45 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     cells = (2 * coeff_bound) ** n * (2 * offset_bound + 1) << n
     if cells > _POOL_CELLS:
         raise DimensionTooLarge(f"pool table of {cells} cells (planes x 2^n) exceeds {_POOL_CELLS}")
-    # |a.x| <= n*B, so a larger |b| meets no point; the cap keeps all in int64.
+    # |a.x| <= n*B, so a larger |b| meets no point.
     offset_bound = min(offset_bound, n * coeff_bound)
-    shape = (2 * coeff_bound,) * (n - 1) + (coeff_bound, 2 * offset_bound + 1)
-    total, step = math.prod(shape), max(1, (1 << cube._CHUNK_BITS) >> n)
+    total = coeff_bound * (2 * coeff_bound) ** (n - 1) * (2 * offset_bound + 1)
     if total > _POOL_ROWS:
         raise DimensionTooLarge(f"pool grid of {total} raw planes exceeds {_POOL_ROWS}")
+    # _zero_hits works in the dtype of a and b, and |b| + sum|a_j| <= 2nB.
+    dtype = np.min_scalar_type(-(2 * n * coeff_bound + 1))
+    values = np.arange(-coeff_bound, coeff_bound + 1, dtype=dtype)
+    values = values[values != 0]
+    # The rows in colex order: a_n slowest, a_1 (positive) fastest.
+    cols = np.meshgrid(*[values] * (n - 1), values[coeff_bound:], indexing="ij")
+    rows = np.stack([c.ravel() for c in reversed(cols)], axis=1)
+    offsets = np.arange(-offset_bound, offset_bound + 1, dtype=dtype)
+    # a.x has the parity of sum(a), and a row's gcd with b is its content's.
+    odd = rows.sum(axis=1, dtype=dtype) & 1
+    content = np.gcd.reduce(rows, axis=1)
+    keep = (odd[:, None] == offsets & 1) & (np.gcd.outer(content, offsets) == 1)
+    # Row-major, so each row's kept offsets follow it, ascending.
+    a = np.repeat(rows, keep.sum(axis=1), axis=0)
+    b = np.broadcast_to(offsets, keep.shape)[keep]
+    step = max(1, (1 << cube._CHUNK_BITS) >> n)
     parts = []
-    for start in range(0, total, step):
-        *tail, first, b = np.unravel_index(np.arange(start, min(start + step, total)), shape)
-        # Digit d of a_2..a_n stands for the d-th of -B..-1, 1..B.
-        cols = [first + 1] + [d - coeff_bound + (d >= coeff_bound) for d in reversed(tail)]
-        b = b - offset_bound
-        # Parity first, so the gcd runs only on the rows it keeps.
-        even = (sum(cols) + b) % 2 == 0
-        cols, b = [c[even] for c in cols], b[even]
-        keep = np.gcd.reduce([*cols, b]) == 1
-        a, b = np.stack(cols, axis=1)[keep], b[keep]
-        packed = cube._bitsets(a, b, n)
+    # An empty pool still takes one (empty) slice, for its shapes.
+    for start in range(0, len(b) or 1, step):
+        sa, sb = a[start : start + step], b[start : start + step]
+        packed = cube._bitsets(sa, sb, n)
         hits = packed.any(axis=1)
-        parts.append((a[hits], b[hits], packed[hits]))
-    return tuple(map(np.concatenate, zip(*parts)))
+        parts.append((sa[hits], sb[hits], packed[hits]))
+    a, b, words = map(np.concatenate, zip(*parts))
+    return a.astype(np.int64), b.astype(np.int64), words
 
 
 def _ints(words) -> list[int]:
-    """Per row of a word matrix, the int whose bit m is bit m of the row."""
-    return [int.from_bytes(row.tobytes(), "little") for row in words]
+    """Per row of a word matrix, the int whose bit m is bit m of the row,
+    built one word column at a time, highest first."""
+    *low, ints = words.T.tolist()
+    for col in reversed(low):
+        ints = [x << 64 | y for x, y in zip(ints, col)]
+    return ints
 
 
 def min_cover_search(config: SearchConfig) -> SearchOutcome:

@@ -339,6 +339,36 @@ def test_value_table_converts_and_checks_every_list_row():
     with pytest.raises(TypeError):
         ValueTable(1, 2, [[1, 2], [1, 0.5]])
 
+
+def test_value_table_checks_the_row_count_before_reading_a_row():
+    class Unreadable(list):
+        def __iter__(self):
+            raise AssertionError("row read")
+
+    with pytest.raises(UsageError, match=r"expected 2\^2 values, got 5"):
+        ValueTable(2, 2, [Unreadable([1, 2])] * 5)
+    # a wrong count and a bad row: the count is reported
+    with pytest.raises(UsageError, match=r"expected 2\^1 values, got 3"):
+        ValueTable(1, 1, [(1,), (0.5,), (2,)])
+
+
+@pytest.mark.parametrize("n, d, k, seed", [(6, 2, 1, 0), (10, 3, 2, 1)])
+def test_wht_integerizes_each_distinct_row_object_once(n, d, k, seed, monkeypatch):
+    from skewcube import fourier
+
+    table = inverse_wht(random_poly(n, d, k, seed))
+    calls = []
+    numerators = fourier._numerators
+    monkeypatch.setattr(fourier, "_numerators", lambda rows: numerators(calls.append(list(rows)) or calls[-1]))
+    shared = wht(table)
+    # the first call is wht's; building the polynomial makes the others
+    assert [id(row) for row in calls[0]] == list(dict.fromkeys(map(id, table.values)))
+    assert len(calls[0]) == len(set(table.values)) < 1 << n
+    calls.clear()
+    assert wht(_unshared(table)) == shared
+    assert len(calls[0]) == 1 << n
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_value_at_returns_fractions_equal_to_inverse_wht(n, k):

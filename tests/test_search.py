@@ -186,6 +186,50 @@ def test_pool_matches_reference_benchmark_configs(n, coeff_bound, offset):
     assert_pool_matches_reference(n, coeff_bound, offset)
 
 
+@pytest.mark.parametrize(
+    "n, coeff_bound, offset, dtype",
+    # 2nB + 1 is 127 at (3, 21), 133 at (3, 22) and 401 at (2, 100)
+    [(3, 21, 0, np.int8), (3, 21, 1, np.int8), (3, 22, 0, np.int16), (3, 22, 1, np.int16), (2, 100, 3, np.int16)],
+)
+def test_pool_is_evaluated_in_the_narrowest_dtype(n, coeff_bound, offset, dtype, monkeypatch):
+    seen = set()
+    bitsets = cube._bitsets
+    monkeypatch.setattr(cube, "_bitsets", lambda a, b, n: seen.add((a.dtype, b.dtype)) or bitsets(a, b, n))
+    _pool_rows(n, coeff_bound, offset)
+    assert seen == {(np.dtype(dtype), np.dtype(dtype))}
+    monkeypatch.undo()
+    assert_pool_matches_reference(n, coeff_bound, offset)
+
+
+def test_empty_pool_keeps_its_shapes_and_dtypes():
+    a, b, words = _pool_rows(1, 1, 0)
+    assert (a.shape, b.shape, words.shape) == ((0, 1), (0,), (0, 1))
+    assert (a.dtype, b.dtype, words.dtype) == (np.int64, np.int64, np.uint64)
+    assert _ints(words) == []
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 1), (0, 3), (1, 1), (5, 1), (5, 2), (7, 4)])
+def test_ints_reads_each_row_little_endian(rows, cols):
+    words = np.random.default_rng(rows * 10 + cols).integers(0, 1 << 64, (rows, cols), dtype=np.uint64)
+    words[:, -1:] |= np.uint64(1 << 63)
+    assert _ints(words) == [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+@pytest.mark.parametrize("n, coeff_bound, offset", [(4, 2, 4), (5, 2, 5), (7, 1, 7)])
+def test_pool_in_many_slices_equals_one_slice(n, coeff_bound, offset, monkeypatch):
+    one = _pool_rows(n, coeff_bound, offset)
+    calls = []
+    bitsets = cube._bitsets
+    monkeypatch.setattr(cube, "_bitsets", lambda *args: calls.append(len(args[1])) or bitsets(*args))
+    for bits in (n - 1, n + 3):
+        calls.clear()
+        monkeypatch.setattr(cube, "_CHUNK_BITS", bits)
+        many = _pool_rows(n, coeff_bound, offset)
+        assert max(calls) == max(1, 1 << bits >> n) and len(calls) > 1
+        for x, y in zip(one, many):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_vacuous_below_lower_bound():
     out = min_cover_search(SearchConfig(n=2, coeff_bound=1, offset_bound=0, max_k=1))
     assert out.status is SearchStatus.EXHAUSTED_NO_COVER
