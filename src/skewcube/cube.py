@@ -4,8 +4,9 @@ A point is an n-bit mask (bit j-1 set means coordinate x_j = -1), so the
 popcount of the mask counts the -1 coordinates. A hyperplane carries exact
 rational coefficients and an offset; "covers" means the affine form vanishes
 as a rational number, never approximately. Both are frozen dataclasses with
-slots, so neither holds a __dict__, and every point, the bulk ones
-included, is built by the range-checked CubePoint constructor.
+slots, so neither holds a __dict__. Every point, the bulk ones included,
+is built by the range-checked CubePoint constructor, and every plane, the
+search pool's included, by the Hyperplane constructor.
 
 Cover verification is exact but does not visit all 2^n points. Coordinates
 whose columns agree across the family up to one common sign form a class,
@@ -133,8 +134,7 @@ class Hyperplane:
     denominator ``den``, or the input itself with den = 1 when every input
     is an int. ``_row`` is a slot field outside ``__init__``, ``==``, hashing
     and ``repr``, which read ``a`` and ``b`` alone; pickle and ``copy`` keep
-    it. An all-int input and the private ``_from_int_row``, which skips the
-    checks, set the fields in one place, ``_set_int_row``.
+    it.
     """
 
     a: tuple[Fraction, ...]
@@ -144,37 +144,21 @@ class Hyperplane:
     def __post_init__(self):
         a, b = tuple(self.a), self.b
         if type(b) is int and all(type(v) is int for v in a):
-            _set_int_row(self, a, b, tuple(map(_fraction, a)))
+            row = (a, b, 1)
+            a, b = tuple(map(_fraction, a)), _fraction(b)
         else:
             a, b = tuple(map(exact, a)), exact(b)
             den, (a_int, (b_int,)) = _numerators((a, (b,)))
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "_row", (a_int, b_int, den))
+            row = (a_int, b_int, den)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_row", row)
         if not a:
             raise UsageError("a hyperplane needs at least one coefficient")
-
-    @classmethod
-    def _from_int_row(cls, a: tuple[int, ...], b: int, fractions: tuple[Fraction, ...]) -> "Hyperplane":
-        """The plane of the int row (a, b), built without checks: a is a
-        nonempty tuple of ints, b an int and ``fractions`` is
-        tuple(map(_fraction, a)), which planes with the same a may share. The
-        plane equals Hyperplane(a, b) in ==, hash, repr and pickle."""
-        plane = object.__new__(cls)
-        _set_int_row(plane, a, b, fractions)
-        return plane
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-
-def _set_int_row(plane: Hyperplane, a, b, fractions) -> None:
-    """Set the fields of the plane of the int row (a, b), whose integer row
-    is itself with den = 1: the one place an int row becomes a plane."""
-    object.__setattr__(plane, "a", fractions)
-    object.__setattr__(plane, "b", _fraction(b))
-    object.__setattr__(plane, "_row", (a, b, 1))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ whenever n >= 2d + 1, and the Catalan number C(2d,d)/(d+1) at n = 2d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,39 +32,53 @@ _MAX_ROWS = 1_000_000
 
 @dataclass(frozen=True)
 class KernelSystem:
-    """Sparse matrix of the top-coefficient equations for one coefficient vector."""
+    """Sparse matrix of the top-coefficient equations for one coefficient
+    vector. Its fields are n, d and the checked coefficients a; ``==`` and
+    ``repr`` read those alone. The rows are built on first read, so the
+    nullity needs none of them, and that read raises ``DimensionTooLarge``
+    past 10^6 rows."""
 
     n: int
     d: int
     a: tuple[Fraction, ...]
-    row_subsets: tuple[tuple[int, ...], ...]
-    # Per row, the (column index, coefficient) pairs sorted by column.
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     @property
     def num_rows(self) -> int:
-        return len(self.row_subsets)
+        return math.comb(self.n, self.d + 1)
+
+    @functools.cached_property
+    def row_subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The (d+1)-subsets in colex order, one per row."""
+        if self.num_rows > _MAX_ROWS:
+            raise DimensionTooLarge(f"{self.num_rows} rows exceed the cap {_MAX_ROWS}")
+        return tuple(subsets_colex(self.n, self.d + 1))
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per row, the (column index, coefficient) pairs sorted by column."""
+        return tuple(
+            tuple(sorted((colex_rank(T[:pos] + T[pos + 1 :]), self.a[j - 1]) for pos, j in enumerate(T)))
+            for T in self.row_subsets
+        )
 
     @property
     def num_cols(self) -> int:
         return math.comb(self.n, self.d)
 
     def dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.num_cols for _ in range(self.num_rows)]
-        for i, row in enumerate(self.rows):
+        out = [[Fraction(0)] * self.num_cols for _ in self.rows]
+        for dense_row, row in zip(out, self.rows):
             for col, coeff in row:
-                out[i][col] = coeff
+                dense_row[col] = coeff
         return out
 
     def apply(self, c: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product A c over exact rationals."""
+        rows = self.rows
         vec = [exact(x) for x in c]
         if len(vec) != self.num_cols:
             raise UsageError(f"expected {self.num_cols} entries, got {len(vec)}")
-        return tuple(
-            sum((coeff * vec[col] for col, coeff in row), Fraction(0))
-            for row in self.rows
-        )
+        return tuple(sum((coeff * vec[col] for col, coeff in row), Fraction(0)) for row in rows)
 
 
 def check_system(n: int, d: int, a: Sequence) -> tuple[Fraction, ...]:
@@ -88,21 +103,9 @@ def kernel_nullity(n: int, d: int) -> int:
 
 
 def build_system(a: Sequence, d: int) -> KernelSystem:
-    """Assemble the sparse system for coefficients ``a`` and degree ``d``."""
-    n = len(a)
-    coeffs = check_system(n, d, a)
-    if math.comb(n, d + 1) > _MAX_ROWS:
-        raise DimensionTooLarge(f"{math.comb(n, d + 1)} rows exceed the cap {_MAX_ROWS}")
-    subs = []
-    rows = []
-    for T in subsets_colex(n, d + 1):
-        entries = sorted(
-            (colex_rank(T[:pos] + T[pos + 1 :]), coeffs[j - 1])
-            for pos, j in enumerate(T)
-        )
-        subs.append(T)
-        rows.append(tuple(entries))
-    return KernelSystem(n, d, coeffs, tuple(subs), tuple(rows))
+    """The sparse system for coefficients ``a`` and degree ``d``, checked by
+    ``check_system``; its rows are built when first read."""
+    return KernelSystem(len(a), d, check_system(len(a), d, a))
 
 
 def kernel_dim(system: KernelSystem) -> int:

@@ -121,14 +121,12 @@ def lower_bound(n: int) -> int:
 class Pool(Sequence):
     """The read-only sequence of a candidate pool's planes over {-1,1}^n,
     kept as ``_pool_rows``' three arrays: coefficient rows, offsets and word
-    rows. A plane is built only when it is read, through
-    ``Hyperplane._from_int_row``. The first iteration builds every plane,
-    sharing one tuple of ints and one of Fractions across each run of rows
-    with one a (rows run with b fastest), and keeps the list, so later
-    passes (==, repr, pickle, another loop) build nothing. A slice is a
-    Pool over the sliced arrays. It compares equal to a list or Pool of the
-    same planes in the same order, is unhashable, and its repr and pickle
-    are those of its list of planes."""
+    rows. A plane is built only when it is read, by the public Hyperplane
+    constructor. The first iteration builds every plane and keeps the list,
+    so later passes (==, repr, pickle, another loop) build nothing. A slice
+    is a Pool over the sliced arrays. It compares equal to a list or Pool of
+    the same planes in the same order, is unhashable, and its repr and
+    pickle are those of its list of planes."""
 
     __slots__ = ("n", "_a", "_b", "_words", "_planes")
     __hash__ = None
@@ -143,20 +141,11 @@ class Pool(Sequence):
         if isinstance(i, slice):
             return Pool(self.n, self._a[i], self._b[i], self._words[i])
         i = operator.index(i)
-        row = tuple(self._a[i].tolist())
-        return Hyperplane._from_int_row(row, int(self._b[i]), tuple(map(cube._fraction, row)))
+        return Hyperplane(tuple(self._a[i].tolist()), int(self._b[i]))
 
     def __iter__(self):
         if self._planes is None:
-            a, b = self._a, self._b
-            # A run starts where a row's a differs from the row before (a[0] - 1 for row 0).
-            starts = np.flatnonzero(np.diff(a, axis=0, prepend=a[:1] - 1).any(axis=1)).tolist()
-            planes: list[Hyperplane] = []
-            for lo, hi in zip(starts, starts[1:] + [len(b)]):
-                row = tuple(a[lo].tolist())
-                fractions = tuple(map(cube._fraction, row))
-                planes += [Hyperplane._from_int_row(row, v, fractions) for v in b[lo:hi].tolist()]
-            self._planes = planes
+            self._planes = list(map(Hyperplane, map(tuple, self._a.tolist()), self._b.tolist()))
         return iter(self._planes)
 
     def __eq__(self, other):
@@ -197,8 +186,8 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     built once, in colex order, and the (row x offset) grid is masked by
     parity and by gcd(content(a), |b|) = 1 in one broadcast step, whose
     kept cells, read row by row, come with b fastest. The kept planes go to
-    ``cube._bitsets`` in slices of at most 2^_CHUNK_BITS cells, in the
-    narrowest signed dtype that holds 2nB + 1."""
+    one ``cube._bitsets`` call, in the narrowest signed dtype that holds
+    2nB + 1, and those that cover a point stay."""
     if n < 1:
         raise UsageError("n must be positive")
     if coeff_bound < 1 or offset_bound < 0:
@@ -227,16 +216,9 @@ def _pool_rows(n: int, coeff_bound: int, offset_bound: int):
     # Row-major, so each row's kept offsets follow it, ascending.
     a = np.repeat(rows, keep.sum(axis=1), axis=0)
     b = np.broadcast_to(offsets, keep.shape)[keep]
-    step = max(1, (1 << cube._CHUNK_BITS) >> n)
-    parts = []
-    # An empty pool still takes one (empty) slice, for its shapes.
-    for start in range(0, len(b) or 1, step):
-        sa, sb = a[start : start + step], b[start : start + step]
-        packed = cube._bitsets(sa, sb, n)
-        hits = packed.any(axis=1)
-        parts.append((sa[hits], sb[hits], packed[hits]))
-    a, b, words = map(np.concatenate, zip(*parts))
-    return a.astype(np.int64), b.astype(np.int64), words
+    words = cube._bitsets(a, b, n)
+    hits = words.any(axis=1)
+    return a[hits].astype(np.int64), b[hits].astype(np.int64), words[hits]
 
 
 def _ints(words) -> list[int]:

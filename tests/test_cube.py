@@ -516,7 +516,6 @@ def _sample_planes():
     return [
         Hyperplane((1, -2, 3), 4),
         Hyperplane((Fraction(1, 3), 2), "5/6"),
-        Hyperplane._from_int_row((1, 1), 0, (Fraction(1), Fraction(1))),
         *candidate_pool(3, 1, 1)[:2],
     ]
 

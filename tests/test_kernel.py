@@ -54,8 +54,12 @@ def test_build_system_rejects_zero_coefficient():
 
 
 def test_build_system_row_cap():
-    with pytest.raises(DimensionTooLarge):
-        build_system((1,) * 30, 14)
+    # The rows are built on first read, and that read raises past the cap.
+    system = build_system((1,) * 30, 14)
+    assert kernel_dim(system) == 0 and system.num_rows == math.comb(30, 15)
+    for read in (lambda: system.rows, lambda: system.row_subsets, system.dense, lambda: system.apply([])):
+        with pytest.raises(DimensionTooLarge):
+            read()
 
 
 def test_kernel_dim_examples():

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,18 +217,31 @@ def test_ints_reads_each_row_little_endian(rows, cols):
 
 
 @pytest.mark.parametrize("n, coeff_bound, offset", [(4, 2, 4), (5, 2, 5), (7, 1, 7)])
-def test_pool_in_many_slices_equals_one_slice(n, coeff_bound, offset, monkeypatch):
-    one = _pool_rows(n, coeff_bound, offset)
-    calls = []
+def test_pool_rows_do_not_depend_on_the_block_size(n, coeff_bound, offset, monkeypatch):
+    # chunk_bits n, n + 3 and 18 put 1, 8 and 2^(18 - n) planes in each _zero_hits block.
     bitsets = cube._bitsets
-    monkeypatch.setattr(cube, "_bitsets", lambda *args: calls.append(len(args[1])) or bitsets(*args))
-    for bits in (n - 1, n + 3):
-        calls.clear()
-        monkeypatch.setattr(cube, "_CHUNK_BITS", bits)
-        many = _pool_rows(n, coeff_bound, offset)
-        assert max(calls) == max(1, 1 << bits >> n) and len(calls) > 1
-        for x, y in zip(one, many):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
+    runs = []
+    for bits in (n, n + 3, 18):
+        calls = []
+        monkeypatch.setattr(cube, "_bitsets", lambda a, b, n, bits=bits: calls.append(bits) or bitsets(a, b, n, bits))
+        runs.append(_pool_rows(n, coeff_bound, offset))
+        assert len(calls) == 1
+    for run in runs[1:]:
+        for x, y in zip(runs[0], run):
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_pool_rows_stay_small_on_a_grid_where_most_planes_meet_no_point():
+    # 1,040,384 raw planes over the 4 points of n = 2, most of which meet
+    # none of them: the one _bitsets pass holds a word for each raw plane.
+    tracemalloc.start()
+    try:
+        a, b, words = _pool_rows(2, 64, 63)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(b) == len(a) == len(words) > 0
+    assert peak < 24 << 20, peak
 
 
 def test_vacuous_below_lower_bound():
